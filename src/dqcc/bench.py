@@ -11,14 +11,14 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from .circuits import (Circuit, count_inter_qpu, count_two_qubit,
+from .circuits import (Circuit, CircuitError, count_inter_qpu, count_two_qubit,
                        decompose_to_basis, schedule_asap)
 from .corpusgen import trivial_qpu_map
-from .gadgets import ExpandedProgram, expand_program
+from .gadgets import ExpandedProgram, GadgetError, expand_program
 from .graphs import cheeger_screen, InteractionGraph
-from .hardware import Assignment, HardwareSpec, default_hardware
-from .mapper import MappedProgram, global_assign, local_optimize
-from .qasm import parse_qasm
+from .hardware import Assignment, HardwareError, HardwareSpec, default_hardware
+from .mapper import CapacityError, MappedProgram, global_assign, local_optimize
+from .qasm import QasmError, parse_qasm
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -40,10 +40,6 @@ class CompileResult:
     mapped: MappedProgram
     expanded: ExpandedProgram
     record: dict
-
-
-def expanded_cx_count(expanded: Circuit) -> int:
-    return count_two_qubit(expanded)
 
 
 def compile_circuit(circuit: Circuit, hw: HardwareSpec | None = None,
@@ -78,7 +74,7 @@ def compile_circuit(circuit: Circuit, hw: HardwareSpec | None = None,
         "local_remote_gates": mapped.remote_count,
         "teleports": mapped.teleport_count,
         "local_total_2q_logical": base_total + mapped.teleport_count,
-        "local_total_2q_expanded": expanded_cx_count(expanded.circuit),
+        "local_total_2q_expanded": count_two_qubit(expanded.circuit),
         "epr_consumed": expanded.epr_events,
         "epr_per_window": mapped.epr_per_window,
         "throttle_violations": mapped.throttle_violations(),
@@ -137,16 +133,19 @@ class BenchRecord:
 
 def bench_circuit(name: str, text: str, hw: HardwareSpec | None,
                   dt: float | None, seeds: list[int]) -> BenchRecord:
+    """Compile one circuit once per seed. Malformed input and the compile
+    errors `dqcc compile` maps to exit codes become the record's `error`;
+    anything else is a bug and propagates."""
     rec = BenchRecord(name)
     try:
         circuit = parse_qasm(text)
-    except Exception as exc:  # parse failures are per-circuit, not fatal
+    except (QasmError, CircuitError) as exc:
         rec.error = f"parse error: {exc}"
         return rec
     for seed in seeds:
         try:
             result = compile_circuit(circuit, hw, dt, seed)
-        except Exception as exc:
+        except (CapacityError, GadgetError, HardwareError, NotImplementedError) as exc:
             rec.error = f"compile error: {exc}"
             return rec
         entry = {"name": name, **result.record}

@@ -6,6 +6,11 @@ controlled correction path is simulated literally. Branch counts grow as
 equivalence checker additionally coalesces branches that have reconverged to
 the same physical state once their classical bits are dead, keeping deep
 compiled circuits tractable.
+
+Each branch also tracks the wires known to be in a computational basis state
+(EPR reservoir slots spend most of a compiled circuit in |0>). Amplitudes off
+that slice are exactly zero, so every gate, projection and overlap works on
+the slice alone.
 """
 from __future__ import annotations
 
@@ -29,8 +34,7 @@ def _rx(theta: float) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
-def _h() -> np.ndarray:
-    return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 # Diagonal single-qubit gates as (d0, d1) pairs.
@@ -58,57 +62,137 @@ _DIAG_KINDS = frozenset({GateKind.RZ, GateKind.Z, GateKind.S, GateKind.SDG,
 @dataclass
 class BranchState:
     """One measurement branch. `state` is unnormalized: its squared norm is
-    the branch probability (per input column in batched mode)."""
+    the branch probability (per input column in batched mode), which
+    `probability` caches. `fixed` maps wires known to be in a computational
+    basis state to that value: every amplitude off the slice where each of
+    them holds its value is exactly zero, so gates work on that slice only."""
     state: np.ndarray          # shape (2**n, batch)
     bits: dict[int, int] = field(default_factory=dict)
+    fixed: dict[int, int] = field(default_factory=dict)
+    probability: np.ndarray | None = None
 
-    @property
-    def probability(self) -> np.ndarray:
-        return np.sum(np.abs(self.state) ** 2, axis=0)
-
-    def normalized(self) -> np.ndarray:
-        norms = np.sqrt(self.probability)
-        norms = np.where(norms < PRUNE_TOL, 1.0, norms)
-        return self.state / norms
+    def __post_init__(self):
+        if self.probability is None:
+            self.probability = _mass(self.state)
 
 
-def _apply_1q_dense(state: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
-    pre, post = 1 << q, (1 << (n - q - 1)) * state.shape[1]
-    v = state.reshape(pre, 2, post)
-    v0 = u[0, 0] * v[:, 0, :] + u[0, 1] * v[:, 1, :]
-    v[:, 1, :] = u[1, 0] * v[:, 0, :] + u[1, 1] * v[:, 1, :]
-    v[:, 0, :] = v0
+def _mass(block: np.ndarray) -> np.ndarray:
+    """Squared norm of each batch column (the trailing axis) of a block."""
+    # The batch axis is contiguous, so the block reads as interleaved real
+    # and imaginary parts; einsum sums their squares without a temporary.
+    parts = block.view(np.float64)
+    axes = list(range(parts.ndim))
+    sq = np.einsum(parts, axes, parts, axes, axes[-1:])
+    return sq[0::2] + sq[1::2]
 
 
-def _apply_diag(state: np.ndarray, n: int, q: int, d0: complex, d1: complex) -> None:
-    pre, post = 1 << q, (1 << (n - q - 1)) * state.shape[1]
-    v = state.reshape(pre, 2, post)
-    if d0 != 1:
-        v[:, 0, :] *= d0
-    if d1 != 1:
-        v[:, 1, :] *= d1
-
-
-def _slice_index(n: int, fixed: dict[int, int]) -> tuple:
-    idx: list = [slice(None)] * (n + 1)  # trailing axis is the batch
+def _view(state: np.ndarray, n: int, fixed: dict[int, int]) -> np.ndarray:
+    """The slice of `state` where each wire in `fixed` holds its value: a view
+    with one axis per other wire, in wire order, then the batch axis."""
+    idx: list = [slice(None)] * (n + 1)
     for axis, val in fixed.items():
         idx[axis] = val
-    return tuple(idx)
+    return state.reshape((2,) * n + (-1,))[tuple(idx)]
 
 
-def _apply_x(state: np.ndarray, n: int, q: int, controls: dict[int, int] | None = None) -> None:
-    v = state.reshape((2,) * n + (-1,))
-    fixed = dict(controls or {})
-    i0 = _slice_index(n, {**fixed, q: 0})
-    i1 = _slice_index(n, {**fixed, q: 1})
-    tmp = v[i0].copy()
-    v[i0] = v[i1]
-    v[i1] = tmp
+def _live(br: BranchState, n: int, extra: dict[int, int] | None = None) -> np.ndarray:
+    """The slice of `br` outside which every amplitude is zero, restricted
+    further by `extra` (values for wires that are not fixed)."""
+    return _view(br.state, n, {**br.fixed, **extra} if extra else br.fixed)
 
 
-def _apply_z_controlled(state: np.ndarray, n: int, q: int) -> None:
-    v = state.reshape((2,) * n + (-1,))
-    v[_slice_index(n, {q: 1})] *= -1
+def _basis_wires(state: np.ndarray, n: int) -> dict[int, int]:
+    """Wires whose 1-slice (else 0-slice) is exactly zero, with the value
+    they hold."""
+    fixed: dict[int, int] = {}
+    for w in range(n):
+        for val in (0, 1):
+            if not _view(state, n, {**fixed, w: 1 - val}).any():
+                fixed[w] = val
+                break
+    return fixed
+
+
+def _unitary_1q(br: BranchState, n: int, q: int, u: np.ndarray) -> None:
+    """Dense single-qubit gate u on wire q, in place."""
+    val = br.fixed.pop(q, None)
+    if val is not None:
+        # q leaves the fixed set; its other half was exactly zero.
+        a, other = _live(br, n, {q: val}), _live(br, n, {q: 1 - val})
+        np.multiply(a, u[1 - val, val], out=other)
+        a *= u[val, val]
+        return
+    a0, a1 = _live(br, n, {q: 0}), _live(br, n, {q: 1})
+    new0 = u[0, 0] * a0
+    new0 += u[0, 1] * a1
+    a1 *= u[1, 1]
+    a1 += u[1, 0] * a0
+    a0[...] = new0
+
+
+def _phase_1q(br: BranchState, n: int, q: int, d: tuple[complex, complex]) -> None:
+    """Diagonal single-qubit gate diag(d) on wire q, in place."""
+    val = br.fixed.get(q)
+    if val is not None:
+        if d[val] != 1:
+            a = _live(br, n)
+            a *= d[val]
+        return
+    for bit in (0, 1):
+        if d[bit] != 1:
+            a = _live(br, n, {q: bit})
+            a *= d[bit]
+
+
+def _controlled_x(br: BranchState, n: int, t: int, controls: tuple[int, ...] = ()) -> None:
+    """X on wire t wherever every wire in `controls` is 1."""
+    live = {}
+    for c in controls:
+        val = br.fixed.get(c)
+        if val == 0:
+            return  # a control fixed at 0: the gate does nothing
+        if val is None:
+            live[c] = 1  # a control fixed at 1 drops out
+    val = br.fixed.pop(t, None)
+    if val is None:
+        a0, a1 = _live(br, n, {**live, t: 0}), _live(br, n, {**live, t: 1})
+        tmp = a0.copy()
+        a0[...] = a1
+        a1[...] = tmp
+        return
+    # The target's other half is zero: move the controlled part across. The
+    # target stays fixed, flipped, only if every control was fixed.
+    src, dst = _live(br, n, {**live, t: val}), _live(br, n, {**live, t: 1 - val})
+    dst[...] = src
+    src.fill(0)
+    if not live:
+        br.fixed[t] = 1 - val
+
+
+def _measure(br: BranchState, n: int, q: int, b: int) -> list[BranchState]:
+    """Split `br` by the outcome of measuring wire q into bit b. Outcome 0
+    keeps the parent's buffer; only outcome 1 allocates."""
+    val = br.fixed.get(q)
+    if val is not None:
+        if np.max(br.probability) < PRUNE_TOL:
+            return []
+        br.bits = {**br.bits, b: val}
+        return [br]
+    s0, s1 = _live(br, n, {q: 0}), _live(br, n, {q: 1})
+    m0, m1 = _mass(s0), _mass(s1)
+    keep0, keep1 = np.max(m0) >= PRUNE_TOL, np.max(m1) >= PRUNE_TOL
+    out = []
+    if keep0:
+        out.append(BranchState(br.state, {**br.bits, b: 0}, {**br.fixed, q: 0}, m0))
+    if keep1:
+        state = br.state
+        if keep0:
+            state = np.zeros(br.state.shape, dtype=br.state.dtype)
+            _view(state, n, {**br.fixed, q: 1})[...] = s1
+        out.append(BranchState(state, {**br.bits, b: 1}, {**br.fixed, q: 1}, m1))
+    # Zero the half the parent's buffer no longer holds.
+    (s1 if keep0 else s0).fill(0)
+    return out
 
 
 class _Runner:
@@ -125,10 +209,10 @@ class _Runner:
         # Bit liveness: a branch merge may only collapse branches whose still
         # readable bits agree. Bit b is live after gate i if some gate > i
         # conditions on it.
-        self.live_after: list[frozenset[int]] = []
+        self.live_after: list[tuple[int, ...]] = []
         live: set[int] = set()
         for g in reversed(circuit.gates):
-            self.live_after.append(frozenset(live))
+            self.live_after.append(tuple(sorted(live)))
             if g.kind in (GateKind.CC_X, GateKind.CC_Z):
                 live.add(g.bits[0])
         self.live_after.reverse()
@@ -153,7 +237,8 @@ class _Runner:
         return arr.copy()
 
     def run(self, initial=None) -> list[BranchState]:
-        branches = [BranchState(self.initial_state(initial))]
+        state = self.initial_state(initial)
+        branches = [BranchState(state, fixed=_basis_wires(state, self.n))]
         for i, gate in enumerate(self.circuit.gates):
             branches = self._step(branches, gate)
             if self.merge and gate.kind in (GateKind.MEASURE, GateKind.CC_X, GateKind.CC_Z):
@@ -166,80 +251,76 @@ class _Runner:
         if kind == GateKind.BARRIER:
             return branches
         if kind == GateKind.MEASURE:
-            out = []
-            q, b = gate.qubits[0], gate.bits[0]
-            for br in branches:
-                v = br.state.reshape((2,) * n + (-1,))
-                for outcome in (0, 1):
-                    proj = np.zeros_like(br.state).reshape((2,) * n + (-1,))
-                    sl = _slice_index(n, {q: outcome})
-                    proj[sl] = v[sl]
-                    proj = proj.reshape(br.state.shape)
-                    if np.max(np.sum(np.abs(proj) ** 2, axis=0)) < PRUNE_TOL:
-                        continue
-                    bits = dict(br.bits)
-                    bits[b] = outcome
-                    out.append(BranchState(proj, bits))
-            return out
+            return [child for br in branches
+                    for child in _measure(br, n, gate.qubits[0], gate.bits[0])]
         for br in branches:
-            st = br.state
             if kind == GateKind.H:
-                _apply_1q_dense(st, n, gate.qubits[0], _h())
+                _unitary_1q(br, n, gate.qubits[0], _H)
             elif kind == GateKind.RX:
-                _apply_1q_dense(st, n, gate.qubits[0], _rx(gate.params[0]))
+                _unitary_1q(br, n, gate.qubits[0], _rx(gate.params[0]))
             elif kind in _DIAG_KINDS:
-                d0, d1 = _diag(kind, gate.params)
-                _apply_diag(st, n, gate.qubits[0], d0, d1)
+                _phase_1q(br, n, gate.qubits[0], _diag(kind, gate.params))
             elif kind == GateKind.X:
-                _apply_x(st, n, gate.qubits[0])
+                _controlled_x(br, n, gate.qubits[0])
             elif kind == GateKind.CX:
                 c, t = gate.qubits
-                _apply_x(st, n, t, {c: 1})
+                _controlled_x(br, n, t, (c,))
             elif kind == GateKind.CCX:
                 a, b, t = gate.qubits
-                _apply_x(st, n, t, {a: 1, b: 1})
+                _controlled_x(br, n, t, (a, b))
             elif kind == GateKind.CC_X:
                 if br.bits.get(gate.bits[0], 0) == 1:
-                    _apply_x(st, n, gate.qubits[0])
+                    _controlled_x(br, n, gate.qubits[0])
             elif kind == GateKind.CC_Z:
                 if br.bits.get(gate.bits[0], 0) == 1:
-                    _apply_z_controlled(st, n, gate.qubits[0])
+                    _phase_1q(br, n, gate.qubits[0], (1, -1))
             else:
                 raise SimulationError(f"unsupported gate kind {kind.value}")
         return branches
 
-    @staticmethod
-    def _parallel(a: BranchState, b: BranchState) -> bool:
-        na = np.sqrt(a.probability)
-        nb = np.sqrt(b.probability)
-        dots = np.abs(np.sum(np.conj(a.state) * b.state, axis=0))
-        lim = na * nb
-        return bool(np.all(dots >= lim - 1e-10 * np.maximum(lim, 1e-30)))
+    def _parallel(self, a: BranchState, b: BranchState) -> bool:
+        lim = np.sqrt(a.probability) * np.sqrt(b.probability)
+        floor = lim - 1e-10 * np.maximum(lim, 1e-30)
+        if any(b.fixed.get(w, v) != v for w, v in a.fixed.items()):
+            # Disjoint slices: every dot product is exactly 0.
+            return bool(np.all(floor <= 0))
+        both = {**a.fixed, **b.fixed}
+        va, vb = _view(a.state, self.n, both), _view(b.state, self.n, both)
+        # Reject on the column with the most mass before the full pass.
+        j = int(np.argmax(lim))
+        if abs(np.sum(np.conj(va[..., j]) * vb[..., j])) < floor[j]:
+            return False
+        dots = np.abs(np.sum(np.conj(va) * vb, axis=tuple(range(va.ndim - 1))))
+        return bool(np.all(dots >= floor))
 
-    def _merge(self, branches: list[BranchState], live: frozenset[int]) -> list[BranchState]:
+    def _merge(self, branches: list[BranchState], live: tuple[int, ...]) -> list[BranchState]:
         if len(branches) < 2:
             return branches
         merged: list[BranchState] = []
+        by_sig: dict[tuple[int, ...], list[BranchState]] = {}
         for br in branches:
-            sig = tuple(sorted((b, br.bits.get(b, 0)) for b in live))
-            hit = None
-            for other in merged:
-                osig = tuple(sorted((b, other.bits.get(b, 0)) for b in live))
-                if sig == osig and self._parallel(other, br):
-                    hit = other
-                    break
+            bucket = by_sig.setdefault(tuple(br.bits.get(b, 0) for b in live), [])
+            hit = next((other for other in bucket if self._parallel(other, br)), None)
             if hit is None:
+                bucket.append(br)
                 merged.append(br)
             else:
-                # Same physical state and indistinguishable bit future: fold
-                # the probability mass into the representative column-wise.
-                pa, pb = hit.probability, br.probability
-                scale = np.sqrt(np.where(pa < PRUNE_TOL, 1.0, (pa + pb) / np.maximum(pa, PRUNE_TOL)))
-                dead = pa < PRUNE_TOL
-                hit.state *= scale
-                if np.any(dead):
-                    hit.state[:, dead] = br.state[:, dead]
+                self._fold(hit, br)
         return merged
+
+    def _fold(self, hit: BranchState, br: BranchState) -> None:
+        """Same physical state and indistinguishable bit future: fold br's
+        probability mass into the representative column-wise."""
+        pa, pb = hit.probability, br.probability
+        dead = pa < PRUNE_TOL
+        scale = np.sqrt(np.where(dead, 1.0, (pa + pb) / np.maximum(pa, PRUNE_TOL)))
+        a = _live(hit, self.n)
+        a *= scale
+        if np.any(dead):
+            # br's columns come in whole: keep the wires both fix alike.
+            hit.fixed = {w: v for w, v in hit.fixed.items() if br.fixed.get(w) == v}
+            _live(hit, self.n)[..., dead] = _view(br.state, self.n, hit.fixed)[..., dead]
+        hit.probability = np.where(dead, pb, pa + pb)
 
 
 def simulate(circuit: Circuit, initial=None) -> list[BranchState]:
@@ -317,10 +398,12 @@ def _axis_order(wires: list[int]) -> list[int]:
     return ranks
 
 
-def _extract_columns(state: np.ndarray, n: int, wires: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _extract_columns(state: np.ndarray, n: int,
+                     wires: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of _embed_columns: slice the block where all non-`wires` axes
     are 0 and reorder axes to the logical wire order. Returns (reduced,
-    residual mass outside the block, per column)."""
+    residual mass outside the block, total mass), the masses per column and
+    summed over the whole state."""
     batch = state.shape[1]
     tensor = state.reshape((2,) * n + (batch,))
     idx = [0] * n + [slice(None)]
@@ -331,9 +414,8 @@ def _extract_columns(state: np.ndarray, n: int, wires: list[int]) -> tuple[np.nd
     src_rank = [ascending.index(w) for w in wires]
     block = block.transpose(*src_rank, len(wires))
     reduced = block.reshape((1 << len(wires), batch))
-    total = np.sum(np.abs(state) ** 2, axis=0)
-    inside = np.sum(np.abs(reduced) ** 2, axis=0)
-    return reduced, total - inside
+    total = _mass(state)
+    return reduced, total - _mass(reduced), total
 
 
 @dataclass
@@ -369,7 +451,7 @@ def equivalence_report(reference: Circuit, candidate: Circuit,
     ref_branches = _Runner(reference).run(ref_init)
     if len(ref_branches) != 1:
         raise SimulationError("reference circuit must be a single branch")
-    ref_out, ref_resid = _extract_columns(ref_branches[0].state, reference.num_qubits, data)
+    ref_out, ref_resid, _ = _extract_columns(ref_branches[0].state, reference.num_qubits, data)
     if float(np.max(ref_resid)) > tol:
         raise SimulationError("reference circuit leaks amplitude off the data qubits")
 
@@ -379,8 +461,8 @@ def equivalence_report(reference: Circuit, candidate: Circuit,
     worst = 1.0
     total_mass = np.zeros(cols.shape[1])
     for br in branches:
-        reduced, resid = _extract_columns(br.state, cand.num_qubits, c_out)
-        mass = br.probability
+        # The mass is summed afresh, not taken from the branch's cache.
+        reduced, resid, mass = _extract_columns(br.state, cand.num_qubits, c_out)
         total_mass += mass
         bad = resid > tol * np.maximum(mass, 1.0)
         if np.any(bad):

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from dqcc.cli import main
-from dqcc import gadgets
+from dqcc import bench, gadgets
 
 from conftest import CORPUS_DIR, corpus_text
 
@@ -119,6 +121,20 @@ def test_bench_partial_failure_still_succeeds(tmp_path, capsys):
     (small / "broken.qasm").write_text("OPENQASM 3.0; qubit[2] q;")
     assert main(["bench", str(small)]) == 0
     assert "broken: FAILED" in capsys.readouterr().err
+
+
+def test_bench_unexpected_error_propagates(tmp_path, monkeypatch):
+    # A bug in the compiler must fail the bench, not become a "compile error" row.
+    small = tmp_path / "corpus"
+    small.mkdir()
+    (small / "tof_3.qasm").write_text(corpus_text("tof_3"))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the compiler")
+
+    monkeypatch.setattr(bench, "compile_circuit", broken)
+    with pytest.raises(RuntimeError, match="bug in the compiler"):
+        main(["bench", str(small)])
 
 
 def test_compile_unlinked_hardware_exit_1(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dqcc import (Circuit, GateKind, decompose_to_basis,
+from dqcc import (Circuit, Gate, GateKind, decompose_to_basis,
                   default_hardware, equivalence_report, equivalent, global_assign,
                   local_optimize, parse_qasm, schedule_asap, simulate)
 from dqcc.gadgets import (GadgetError, cross_qpu_violations, epr_prepare,
@@ -147,6 +147,40 @@ def test_teleport_into_occupied_slot_is_callers_error():
     branches = simulate(teleport_circuit(), initial=init)
     tensor = branches[0].state[:, 0].reshape(2, 2, 2, 2)
     assert abs(tensor[0, 0, 0, 0]) ** 2 != pytest.approx(1.0)
+
+
+# -- broken gadgets are refuted ----------------------------------------------------
+
+def _with_gates(circuit, edit):
+    out = Circuit(circuit.num_qubits, circuit.num_bits)
+    for g in edit(circuit.gates):
+        out.append(g)
+    return out
+
+
+def test_remote_cnot_with_cc_z_turned_into_cc_x_is_refuted():
+    gadget = _with_gates(remote_cnot_circuit(), lambda gates: [
+        Gate(GateKind.CC_X, g.qubits, g.params, g.bits) if g.kind == GateKind.CC_Z else g
+        for g in gates])
+    rep = equivalence_report(Circuit(2).cx(0, 1), gadget,
+                             candidate_in_wires=[0, 1], candidate_out_wires=[0, 1])
+    assert not rep.equivalent
+    assert rep.failing_bits is not None
+
+
+def test_teleport_with_a_dropped_correction_is_refuted():
+    def report(circuit):
+        return equivalence_report(Circuit(1), circuit, data_qubits=[0],
+                                  candidate_in_wires=[0], candidate_out_wires=[1])
+
+    assert report(teleport_circuit()).equivalent
+    # drop the X correction on the receiving slot
+    broken = _with_gates(teleport_circuit(), lambda gates: [
+        g for g in gates if not (g.kind == GateKind.CC_X and g.qubits == (3,))])
+    assert len(broken.gates) == len(teleport_circuit().gates) - 1
+    rep = report(broken)
+    assert not rep.equivalent
+    assert rep.failing_bits is not None
 
 
 # -- expand_program ---------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqcc import Circuit, GateKind, equivalent, simulate
-from dqcc.gadgets import epr_prepare, expand_remote_cnot
-from dqcc.sim import SimulationError, spanning_inputs, trim_idle_wires
+from dqcc.gadgets import epr_prepare, expand_remote_cnot, expand_teleport
+from dqcc.sim import (SimulationError, _Runner, _view, _embed_columns, spanning_inputs,
+                      trim_idle_wires)
 
 from conftest import unitary_of
 
@@ -155,3 +156,121 @@ def test_cc_gates_apply_per_branch_bits():
         nz = np.nonzero(np.abs(b.state[:, 0]) > 1e-9)[0]
         want = 0b11 if b.bits[0] == 1 else 0b00
         assert list(nz) == [want]
+
+
+# -- the basis-state slice -------------------------------------------------------
+
+def off_slice_is_zero(branch, n) -> bool:
+    """Every amplitude off the branch's fixed slice is exactly 0."""
+    rest = branch.state.copy()
+    _view(rest, n, branch.fixed)[...] = 0
+    return not rest.any()
+
+
+def test_fixed_wires_follow_the_gate_rules():
+    # wires 0, 1 start fixed at 1 and 0; wire 2 holds |+>
+    init = np.zeros(8, dtype=complex)
+    init[0b100] = init[0b101] = 1 / math.sqrt(2)
+    c = Circuit(3)
+    steps = [
+        (lambda: c.cx(1, 2), {0: 1, 1: 0}),      # control fixed at 0: no-op
+        (lambda: c.x(1), {0: 1, 1: 1}),          # x on a fixed wire flips it
+        (lambda: c.cx(0, 1), {0: 1, 1: 0}),      # control fixed at 1 drops out
+        (lambda: c.t(0), {0: 1, 1: 0}),          # a phase keeps the wire fixed
+        (lambda: c.cx(2, 1), {0: 1}),            # unfixed control: target unfixed
+        (lambda: c.h(0), {}),                    # h unfixes a wire
+    ]
+    for add, fixed in steps:
+        add()
+        (branch,) = simulate(c, initial=init)
+        assert branch.fixed == fixed
+        assert off_slice_is_zero(branch, 3)
+        assert np.allclose(branch.state[:, 0], unitary_of(c) @ init, atol=1e-12)
+
+
+_UNITARY_GATES = ["h", "rx", "rz", "t", "x", "cx", "ccx"]
+
+
+@st.composite
+def unitary_circuits(draw):
+    """A random {h, rx, rz, t, x, cx, ccx} circuit on 5 wires after a fixed
+    prefix on the two ancilla wires 3, 4, which start in |0>. The prefix
+    applies x to a fixed wire, cx with a fixed control at 0 and at 1, h to a
+    fixed wire, and cx from an unfixed control onto a fixed target."""
+    c = Circuit(5)
+    c.x(3).cx(4, 0).cx(3, 4).h(4).cx(4, 3)
+    for _ in range(draw(st.integers(0, 12))):
+        name = draw(st.sampled_from(_UNITARY_GATES))
+        arity = {"cx": 2, "ccx": 3}.get(name, 1)
+        wires = draw(st.permutations(range(5)))[:arity]
+        if name in ("rx", "rz"):
+            getattr(c, name)(wires[0], draw(st.floats(-math.pi, math.pi)))
+        else:
+            getattr(c, name)(*wires)
+    return c
+
+
+@given(unitary_circuits(), st.integers(0, 7), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sliced_state_matches_kron_oracle(c, basis, superpose, seed):
+    # data wires 0-2 hold a basis state or a random superposition
+    data = np.zeros(8, dtype=complex)
+    if superpose:
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=8) + 1j * rng.normal(size=8)
+        data /= np.linalg.norm(data)
+    else:
+        data[basis] = 1.0
+    init = np.zeros(32, dtype=complex)
+    init.reshape(8, 4)[:, 0] = data
+    (branch,) = simulate(c, initial=init)
+    assert off_slice_is_zero(branch, 5)
+    assert np.allclose(branch.state[:, 0], unitary_of(c) @ init, atol=1e-9)
+
+
+def test_measuring_a_wire_in_a_basis_state_gives_one_branch():
+    c = Circuit(2, 1).h(0).x(1).measure(1, 0)
+    (branch,) = simulate(c)
+    assert branch.bits == {0: 1}
+    assert branch.probability[0] == pytest.approx(1.0)
+
+
+def _gadget_chain() -> Circuit:
+    """Remote cnot then a teleport, on data wires 0, 1 and a free slot 4,
+    with the EPR pair on wires 2, 3."""
+    c = Circuit(5, 4)
+    for g in epr_prepare(2, 3) + expand_remote_cnot(0, 1, (2, 3), (0, 1)):
+        c.append(g)
+    for g in epr_prepare(2, 3) + expand_teleport(0, 4, (2, 3), (2, 3)):
+        c.append(g)
+    return c
+
+
+@pytest.mark.parametrize("merge", [False, True])
+def test_cached_probability_and_slice_after_measurements(merge):
+    c = _gadget_chain()
+    init = _embed_columns(spanning_inputs(2), 5, [0, 1])
+    branches = _Runner(c, merge=merge).run(init)
+    assert len(branches) == (1 if merge else 16)
+    for br in branches:
+        assert np.allclose(br.probability, np.sum(np.abs(br.state) ** 2, axis=0),
+                           rtol=0, atol=1e-12)
+        assert off_slice_is_zero(br, 5)
+    assert np.allclose(sum(br.probability for br in branches), 1.0, atol=1e-12)
+
+
+def test_merge_of_branches_fixed_apart():
+    # Measuring |0> and |1> columns forks branches fixed at 0 and at 1 whose
+    # columns do not overlap; the dead bit lets them merge into one branch
+    # that fixes nothing.
+    (br,) = _Runner(Circuit(1, 1).measure(0, 0), merge=True).run(np.eye(2, dtype=complex))
+    assert br.fixed == {}
+    assert np.array_equal(br.state, np.eye(2))
+    assert np.allclose(br.probability, [1, 1], rtol=0, atol=1e-12)
+
+
+def test_no_merge_of_orthogonal_branches():
+    # Both outcomes of measuring |+> carry mass in the same column.
+    plus = np.full((2, 1), 1 / math.sqrt(2), dtype=complex)
+    branches = _Runner(Circuit(1, 1).measure(0, 0), merge=True).run(plus)
+    assert sorted(br.fixed[0] for br in branches) == [0, 1]
