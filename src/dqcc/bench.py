@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .circuits import (Circuit, CircuitError, count_inter_qpu, count_two_qubit,
                        decompose_to_basis, schedule_asap)
-from .corpusgen import trivial_qpu_map
+from .corpusgen import PUBLISHED_BASELINES, trivial_qpu_map, verified_reconstruction
 from .gadgets import ExpandedProgram, GadgetError, expand_program
 from .graphs import cheeger_screen, InteractionGraph
 from .hardware import Assignment, HardwareError, HardwareSpec, default_hardware
@@ -71,6 +71,7 @@ def compile_circuit(circuit: Circuit, hw: HardwareSpec | None = None,
         "base_interqpu_trivial": count_inter_qpu(decomposed, trivial),
         "global_interqpu": count_inter_qpu(decomposed, init.qpu_map()),
         "local_interqpu": mapped.inter_qpu_total,
+        "local_plan": mapped.local_plan,
         "local_remote_gates": mapped.remote_count,
         "teleports": mapped.teleport_count,
         "local_total_2q_logical": base_total + mapped.teleport_count,
@@ -113,12 +114,14 @@ class BenchRecord:
 
     def aggregate(self) -> dict:
         if not self.records:
-            return {"name": self.name, "error": self.error}
+            return {"name": self.name, "baseline": baseline_status(self.name),
+                    "error": self.error}
         base = self.records[0]
         glob = [r["global_interqpu"] for r in self.records]
         loc = [r["local_interqpu"] for r in self.records]
         agg = {
             "name": self.name,
+            "baseline": baseline_status(self.name),
             "num_qubits": base["num_qubits"],
             "base_total_2q": base["base_total_2q"],
             "base_interqpu_trivial": base["base_interqpu_trivial"],
@@ -129,6 +132,14 @@ class BenchRecord:
             "runs": self.records,
         }
         return agg
+
+
+def baseline_status(name: str) -> str:
+    """"count-verified" for a bundled circuit whose reconstruction reproduces
+    the published counts, else "recorded" (its counts are the record)."""
+    if name in PUBLISHED_BASELINES and verified_reconstruction(name):
+        return "count-verified"
+    return "recorded"
 
 
 def bench_circuit(name: str, text: str, hw: HardwareSpec | None,

@@ -13,6 +13,7 @@ from pathlib import Path
 from .bench import (bench_circuit, compile_circuit, hardware_suitability,
                     records_to_csv, REPORT_SCHEMA_VERSION)
 from .circuits import count_two_qubit
+from .corpusgen import TABLE_OF_RECORD
 from .hardware import default_hardware, load_hardware_spec, HardwareError
 from .gadgets import GadgetError
 from .mapper import CapacityError
@@ -95,11 +96,15 @@ def cmd_bench(args) -> int:
             print(f"{path.stem}: FAILED ({rec.error})", file=sys.stderr)
             continue
         flat.extend(rec.records)
-        print(f"{path.stem}: base {agg['base_total_2q']}/{agg['base_interqpu_trivial']}"
+        star = "*" if path.stem in TABLE_OF_RECORD else ""
+        print(f"{path.stem}{star}: base {agg['base_total_2q']}/{agg['base_interqpu_trivial']}"
               f"  global {agg['global_interqpu_mean']:.1f}"
               f" +- {agg['global_interqpu_std']:.1f}"
               f"  local {agg['local_interqpu_mean']:.1f}"
-              f" +- {agg['local_interqpu_std']:.1f}")
+              f" +- {agg['local_interqpu_std']:.1f}"
+              f"  baseline {agg['baseline']}")
+    if any(path.stem in TABLE_OF_RECORD for path in corpus):
+        print("* = table-of-record suite")
     if args.report:
         doc = {"schema_version": REPORT_SCHEMA_VERSION, "circuits": aggregates}
         path = Path(args.report)

@@ -142,6 +142,7 @@ class MappedProgram:
     windows: list[WindowPlan]
     initial: Assignment
     final: Assignment
+    local_plan: str = "windowed"  # or "static": the zero-migration fallback
     tags: list[str] = field(default_factory=list)
 
     @property
@@ -259,7 +260,8 @@ def _static_plan(sched, hw, init, dt, windows) -> MappedProgram:
         remote = _remote_indices(circuit, indices, qpus)
         plans.append(WindowPlan(interval, [], indices, remote,
                                 dict(init.placement), len(remote)))
-    return MappedProgram(circuit, hw, dt, 0, plans, init.copy(), init.copy())
+    return MappedProgram(circuit, hw, dt, 0, plans, init.copy(), init.copy(),
+                         local_plan="static")
 
 
 def _windowed_plan(sched, hw, init, dt, windows, rng) -> MappedProgram:

@@ -11,10 +11,14 @@ Each branch also tracks the wires known to be in a computational basis state
 (EPR reservoir slots spend most of a compiled circuit in |0>). Amplitudes off
 that slice are exactly zero, so every gate, projection and overlap works on
 the slice alone.
+
+The equivalence check splits its input columns into contiguous blocks by
+problem size and runs them on threads, one per usable CPU at most.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,7 +241,11 @@ class _Runner:
         return arr.copy()
 
     def run(self, initial=None) -> list[BranchState]:
-        state = self.initial_state(initial)
+        return self.evolve(self.initial_state(initial))
+
+    def evolve(self, state: np.ndarray) -> list[BranchState]:
+        """Run on `state` of shape (2**n, batch), which becomes the first
+        branch's buffer and is overwritten."""
         branches = [BranchState(state, fixed=_basis_wires(state, self.n))]
         for i, gate in enumerate(self.circuit.gates):
             branches = self._step(branches, gate)
@@ -448,27 +456,83 @@ def equivalence_report(reference: Circuit, candidate: Circuit,
 
     cols = spanning_inputs(k)
     ref_init = _embed_columns(cols, reference.num_qubits, data)
-    ref_branches = _Runner(reference).run(ref_init)
+    ref_branches = _Runner(reference).evolve(ref_init)
     if len(ref_branches) != 1:
         raise SimulationError("reference circuit must be a single branch")
     ref_out, ref_resid, _ = _extract_columns(ref_branches[0].state, reference.num_qubits, data)
     if float(np.max(ref_resid)) > tol:
         raise SimulationError("reference circuit leaks amplitude off the data qubits")
 
-    cand_init = _embed_columns(cols, cand.num_qubits, c_in)
-    branches = _Runner(cand, merge=True).run(cand_init)
+    # Each column block runs as its own problem. The runner acts on every
+    # column separately except in the merge test, which on fewer columns
+    # merges at least whenever the full test would and folds each column
+    # only where that column is parallel; so the verdict is the same for any
+    # split. The split depends on the problem size alone; the CPU count only
+    # sets how many blocks run at once (numpy releases the GIL in the kernels).
+    runner = _Runner(cand, merge=True)
 
+    def check(span: tuple[int, int]):
+        lo, hi = span
+        branches = runner.evolve(_embed_columns(cols[:, lo:hi], cand.num_qubits, c_in))
+        return _check_block(branches, ref_out[:, lo:hi], cand.num_qubits, c_out, tol, lo)
+
+    spans = _column_blocks(cand.num_qubits, cols.shape[1])
+    workers = min(len(spans), _usable_cpus())
+    if workers == 1:
+        parts = [check(span) for span in spans]
+    else:
+        # Imported here: only split problems use it, and it adds to start-up time.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(check, spans))
+
+    for failure, _, _ in parts:
+        if failure is not None:
+            return failure
+    worst = min(block_worst for _, block_worst, _ in parts)
+    total_mass = np.concatenate([mass for _, _, mass in parts])
+    if float(np.max(np.abs(total_mass - 1.0))) > 1e-9:
+        return EquivalenceReport(False, worst, int(np.argmax(np.abs(total_mass - 1.0))),
+                                 None, "branch probabilities do not sum to 1")
+    return EquivalenceReport(True, worst)
+
+
+# Amplitudes per column block: 8 MiB of complex128 per branch.
+_BLOCK_AMPLITUDES = 1 << 19
+
+
+def _column_blocks(n: int, batch: int) -> list[tuple[int, int]]:
+    """Split `batch` input columns on an n-wire register into contiguous
+    (lo, hi) spans, one per _BLOCK_AMPLITUDES amplitudes. The split depends
+    on the problem size only, so a report does not depend on the machine."""
+    blocks = max(1, (batch << n) // _BLOCK_AMPLITUDES)
+    return [(i * batch // blocks, (i + 1) * batch // blocks) for i in range(blocks)]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_block(branches: list[BranchState], ref_out: np.ndarray, n: int,
+                 c_out: list[int], tol: float,
+                 offset: int) -> tuple[EquivalenceReport | None, float, np.ndarray]:
+    """Check the final branches of one column block against the reference
+    outputs of the same columns; `offset` is the block's first column.
+    Returns (the failure report or None, worst branch fidelity, total mass
+    per column)."""
     worst = 1.0
-    total_mass = np.zeros(cols.shape[1])
+    total_mass = np.zeros(ref_out.shape[1])
     for br in branches:
         # The mass is summed afresh, not taken from the branch's cache.
-        reduced, resid, mass = _extract_columns(br.state, cand.num_qubits, c_out)
+        reduced, resid, mass = _extract_columns(br.state, n, c_out)
         total_mass += mass
         bad = resid > tol * np.maximum(mass, 1.0)
         if np.any(bad):
-            col = int(np.argmax(bad))
-            return EquivalenceReport(False, 0.0, col, dict(br.bits),
-                                     "amplitude left on ancilla/EPR wires")
+            col = offset + int(np.argmax(bad))
+            return (EquivalenceReport(False, 0.0, col, dict(br.bits),
+                                      "amplitude left on ancilla/EPR wires"), 0.0, total_mass)
         # branch fidelity per input column
         dots = np.abs(np.sum(np.conj(ref_out) * reduced, axis=0)) ** 2
         denom = np.sum(np.abs(ref_out) ** 2, axis=0) * np.maximum(
@@ -479,12 +543,10 @@ def equivalence_report(reference: Circuit, candidate: Circuit,
         if fid[wi] < worst:
             worst = float(fid[wi])
         if worst < 1 - tol:
-            return EquivalenceReport(False, worst, wi, dict(br.bits),
-                                     f"branch fidelity {worst:.3e} below 1-tol")
-    if float(np.max(np.abs(total_mass - 1.0))) > 1e-9:
-        return EquivalenceReport(False, worst, int(np.argmax(np.abs(total_mass - 1.0))),
-                                 None, "branch probabilities do not sum to 1")
-    return EquivalenceReport(True, worst)
+            return (EquivalenceReport(False, worst, offset + wi, dict(br.bits),
+                                      f"branch fidelity {worst:.3e} below 1-tol"),
+                    worst, total_mass)
+    return None, worst, total_mass
 
 
 def equivalent(reference: Circuit, candidate: Circuit, data_qubits=None, tol: float = 1e-9,

@@ -84,6 +84,32 @@ def test_bench_runs_corpus_and_reports(tmp_path):
     assert "global_interqpu_std" in recs["tof_3"]
 
 
+def test_bench_reports_baseline_status(tmp_path, capsys):
+    small = tmp_path / "corpus"
+    small.mkdir()
+    for name in ("qft_4", "grover_5", "broken"):
+        text = "OPENQASM 3.0; qubit[2] q;" if name == "broken" else corpus_text(name)
+        (small / f"{name}.qasm").write_text(text)
+    report = tmp_path / "bench.json"
+    assert main(["bench", str(small), "--report", str(report)]) == 0
+    recs = {r["name"]: r for r in json.loads(report.read_text())["circuits"]}
+    assert recs["qft_4"]["baseline"] == "recorded"  # reconstruction differs
+    assert recs["grover_5"]["baseline"] == "count-verified"
+    assert recs["broken"]["baseline"] == "recorded"  # not a bundled circuit
+    out = capsys.readouterr().out
+    assert "grover_5*: " in out and "baseline count-verified" in out
+    assert "qft_4: " in out and "* = table-of-record suite" in out
+
+
+@pytest.mark.parametrize("dt_args, plan", [([], "windowed"), (["--dt", "8"], "static")])
+def test_compile_reports_local_plan(tmp_path, dt_args, plan):
+    # At dt=8 the windowed plan for qft_4 costs more than the static one.
+    report = tmp_path / "r.json"
+    assert main(["compile", str(CORPUS_DIR / "qft_4.qasm"), *dt_args,
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["local_plan"] == plan
+
+
 def test_bench_csv_report(tmp_path):
     small = tmp_path / "corpus"
     small.mkdir()

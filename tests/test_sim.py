@@ -1,13 +1,15 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqcc import Circuit, GateKind, equivalent, simulate
+from dqcc import Circuit, GateKind, equivalent, simulate, sim
 from dqcc.gadgets import epr_prepare, expand_remote_cnot, expand_teleport
-from dqcc.sim import (SimulationError, _Runner, _view, _embed_columns, spanning_inputs,
-                      trim_idle_wires)
+from dqcc.sim import (SimulationError, _Runner, _column_blocks, _view, _embed_columns,
+                      equivalence_report, spanning_inputs, trim_idle_wires)
 
 from conftest import unitary_of
 
@@ -274,3 +276,77 @@ def test_no_merge_of_orthogonal_branches():
     plus = np.full((2, 1), 1 / math.sqrt(2), dtype=complex)
     branches = _Runner(Circuit(1, 1).measure(0, 0), merge=True).run(plus)
     assert sorted(br.fixed[0] for br in branches) == [0, 1]
+
+
+def _split_size_remote_cnot():
+    """A remote CNOT between 9 data wires over 2 EPR wires: its 518 input
+    columns on 11 wires split into two column blocks."""
+    ref = Circuit(9).h(2).cx(0, 1)
+    cand = Circuit(11, 2).h(2)
+    for g in epr_prepare(9, 10) + expand_remote_cnot(0, 1, (9, 10), (0, 1)):
+        cand.append(g)
+    assert len(_column_blocks(11, spanning_inputs(9).shape[1])) == 2
+    return ref, cand
+
+
+def _with_cpus(monkeypatch, cpus: set[int]) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def test_column_blocks_report_does_not_depend_on_cpu_count(monkeypatch):
+    ref, cand = _split_size_remote_cnot()
+    pools = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    reports = []
+    for cpus in ({0}, {0, 1}):
+        _with_cpus(monkeypatch, cpus)
+        reports.append(equivalence_report(ref, cand))
+    assert pools == [2]  # one CPU runs the blocks in turn, two run them at once
+    assert reports[0] == reports[1]
+    assert reports[0].equivalent
+
+
+def test_error_seen_by_superpositions_fails_in_the_last_block(monkeypatch):
+    # On basis inputs the extra rz is a global phase; only the tomographic
+    # product columns, all in the last block, see it.
+    ref, cand = _split_size_remote_cnot()
+    cand.rz(3, 0.3)
+    reports = []
+    for cpus in ({0}, {0, 1}):
+        _with_cpus(monkeypatch, cpus)
+        reports.append(equivalence_report(ref, cand))
+    assert reports[0] == reports[1]
+    assert not reports[0].equivalent
+    assert reports[0].failing_input >= 2 ** 9
+
+
+def test_error_in_a_column_block_propagates(monkeypatch):
+    ref, cand = _split_size_remote_cnot()
+    check = sim._check_block
+
+    def failing_in_last_block(branches, ref_out, n, c_out, tol, offset):
+        if offset > 0:
+            raise RuntimeError("block failed")
+        return check(branches, ref_out, n, c_out, tol, offset)
+
+    monkeypatch.setattr(sim, "_check_block", failing_in_last_block)
+    _with_cpus(monkeypatch, {0, 1})
+    with pytest.raises(RuntimeError, match="block failed"):
+        equivalence_report(ref, cand)
+
+
+def test_simulate_leaves_the_callers_state_unchanged():
+    c = Circuit(2, 1).h(0).cx(0, 1).measure(1, 0).x(0)
+    arr = np.zeros((4, 3), dtype=complex)
+    arr[0, 0] = arr[1, 1] = 1
+    arr[:, 2] = 0.5
+    before = arr.copy()
+    branches = simulate(c, arr)
+    assert len(branches) == 2
+    assert np.array_equal(arr, before)
