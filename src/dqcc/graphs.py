@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, ScheduledCircuit
-
-FULL = None  # window sentinel: use the whole circuit
+from .circuits import Circuit, GateKind
 
 
 class GraphError(ValueError):
@@ -72,36 +70,23 @@ class PartitionVector:
         return [int(np.sum(self.labels == j)) for j in range(self.k)]
 
 
-def interaction_graph(sched: ScheduledCircuit, window: tuple[float, float] | None = FULL
-                      ) -> InteractionGraph:
-    """Build the qubit interaction graph from the two-qubit gates whose start
-    time falls in [window[0], window[1]); FULL uses every gate. Barriers and
-    single-qubit gates contribute nothing."""
-    n = sched.circuit.num_qubits
-    w = np.zeros((n, n))
-    for gate, t in zip(sched.circuit.gates, sched.start_times):
-        if gate.kind != GateKind.CX or len(gate.qubits) != 2:
-            continue
-        if window is not FULL:
-            t0, t1 = window
-            if not (t0 <= t < t1):
-                continue
-        a, b = gate.qubits
-        w[a, b] += 1
-        w[b, a] += 1
-    return InteractionGraph(w)
-
-
-def circuit_graph(circuit: Circuit) -> InteractionGraph:
-    """Full-circuit interaction graph straight from an (unscheduled) circuit."""
+def interaction_graph(circuit: Circuit, gates) -> InteractionGraph:
+    """Qubit interaction graph of the cx gates among the given gate indices.
+    Barriers and single-qubit gates contribute nothing."""
     n = circuit.num_qubits
     w = np.zeros((n, n))
-    for gate in circuit.gates:
+    for i in gates:
+        gate = circuit.gates[i]
         if gate.kind == GateKind.CX:
             a, b = gate.qubits
             w[a, b] += 1
             w[b, a] += 1
     return InteractionGraph(w)
+
+
+def circuit_graph(circuit: Circuit) -> InteractionGraph:
+    """Interaction graph of every gate of the circuit."""
+    return interaction_graph(circuit, range(len(circuit.gates)))
 
 
 def laplacian_eigenvalues(graph: InteractionGraph, k: int) -> np.ndarray:

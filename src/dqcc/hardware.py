@@ -179,21 +179,8 @@ class Assignment:
                 raise HardwareError(f"slot collision at {(qpu, slot)}")
             seen.add((qpu, slot))
 
-    def qpu_of(self, q: int) -> int:
-        return self.placement[q][0]
-
-    def slot_of(self, q: int) -> int:
-        return self.placement[q][1]
-
-    def wire_of(self, q: int) -> int:
-        qpu, slot = self.placement[q]
-        return self.hw.data_wire(qpu, slot)
-
     def qpu_map(self) -> dict[int, int]:
         return {q: qs[0] for q, qs in self.placement.items()}
-
-    def occupancy(self, qpu: int) -> int:
-        return sum(1 for (p, _) in self.placement.values() if p == qpu)
 
     def free_slots(self, qpu: int) -> list[int]:
         used = {slot for (p, slot) in self.placement.values() if p == qpu}

@@ -10,8 +10,9 @@ with either an opposite-direction mover or an idle resident.
 """
 from __future__ import annotations
 
+import bisect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,17 +102,6 @@ def _move_gain(wadj: np.ndarray, qpus: dict[int, int], q: int, dst: int) -> floa
     return gain
 
 
-def migration_rule(q: int, window_graph: InteractionGraph, current: dict[int, int],
-                   proposed_qpu: int, capacity_free: bool = True) -> str:
-    """Single-qubit migrate-vs-stay decision: migrate when the remote gates
-    saved strictly exceed one teleport plus the remote gates newly created on
-    the qubit's other neighbors, and the target has a free data slot."""
-    if current[q] == proposed_qpu or not capacity_free:
-        return "stay"
-    gain = _move_gain(window_graph.weights, current, q, proposed_qpu)
-    return "migrate" if gain > 1 else "stay"
-
-
 @dataclass
 class Migration:
     qubit: int
@@ -138,12 +128,10 @@ class MappedProgram:
     circuit: Circuit
     hw: HardwareSpec
     dt: float
-    seed: int
     windows: list[WindowPlan]
     initial: Assignment
     final: Assignment
     local_plan: str = "windowed"  # or "static": the zero-migration fallback
-    tags: list[str] = field(default_factory=list)
 
     @property
     def teleport_count(self) -> int:
@@ -169,31 +157,6 @@ class MappedProgram:
     def throttle_violations(self) -> list[int]:
         budget = self.epr_budget_per_window()
         return [i for i, used in enumerate(self.epr_per_window) if used > budget]
-
-    def annotated_circuit(self) -> Circuit:
-        """Original gates with remote two-qubit gates replaced by remote-cx
-        markers and teleport markers inserted at their window positions."""
-        out = Circuit(self.circuit.num_qubits, self.circuit.num_bits)
-        remote = {i for w in self.windows for i in w.remote_gates}
-        by_first_gate: dict[int, list[Migration]] = {}
-        for w in self.windows:
-            if w.migrations:
-                first = w.gate_indices[0] if w.gate_indices else len(self.circuit.gates)
-                by_first_gate.setdefault(first, []).extend(w.migrations)
-        for i, gate in enumerate(self.circuit.gates):
-            for mig in by_first_gate.get(i, []):
-                out.add(GateKind.TELEPORT, (mig.qubit,))
-            if i in remote:
-                out.add(GateKind.REMOTE_CX, gate.qubits)
-            else:
-                out.append(gate)
-        for mig in by_first_gate.get(len(self.circuit.gates), []):
-            out.add(GateKind.TELEPORT, (mig.qubit,))
-        return out
-
-
-def _window_weight_matrix(sched: ScheduledCircuit, window: tuple[float, float]) -> np.ndarray:
-    return interaction_graph(sched, window).weights
 
 
 def _orient_to_incumbent(labels: np.ndarray, active: list[int],
@@ -221,15 +184,12 @@ def local_optimize(sched: ScheduledCircuit, hw: HardwareSpec, init: Assignment,
         raise NotImplementedError(
             "the windowed local pass targets two-QPU hardware; k-way global "
             "assignment is available but not window-optimized")
-    circuit = sched.circuit
     windows = make_windows(sched, dt)
     rng = random.Random(seed ^ 0x5EED)
 
     plan = _windowed_plan(sched, hw, init, dt, windows, rng)
     static = _static_plan(sched, hw, init, dt, windows)
-    chosen = plan if plan.inter_qpu_total <= static.inter_qpu_total else static
-    chosen.tags = _tags_for(circuit, chosen)
-    return chosen
+    return plan if plan.inter_qpu_total <= static.inter_qpu_total else static
 
 
 def _bucket_gates(sched: ScheduledCircuit, windows) -> list[list[int]]:
@@ -260,7 +220,7 @@ def _static_plan(sched, hw, init, dt, windows) -> MappedProgram:
         remote = _remote_indices(circuit, indices, qpus)
         plans.append(WindowPlan(interval, [], indices, remote,
                                 dict(init.placement), len(remote)))
-    return MappedProgram(circuit, hw, dt, 0, plans, init.copy(), init.copy(),
+    return MappedProgram(circuit, hw, dt, plans, init.copy(), init.copy(),
                          local_plan="static")
 
 
@@ -272,7 +232,7 @@ def _windowed_plan(sched, hw, init, dt, windows, rng) -> MappedProgram:
     plans: list[WindowPlan] = []
 
     for interval, indices in zip(windows, buckets):
-        wadj = _window_weight_matrix(sched, interval)
+        wadj = interaction_graph(circuit, indices).weights
         active = sorted({q for i in indices
                          for q in circuit.gates[i].qubits
                          if circuit.gates[i].kind != GateKind.BARRIER})
@@ -281,19 +241,17 @@ def _windowed_plan(sched, hw, init, dt, windows, rng) -> MappedProgram:
         migrations: list[Migration] = []
 
         if active and any(wadj[q].any() for q in active):
-            proposal = _window_proposal(wadj, active, cur, assignment, caps)
-            migrations = _greedy_migrations(
-                wadj, active, proposal, assignment, rng)
+            proposal = _window_proposal(wadj, active, cur, caps)
+            migrations = _greedy_migrations(wadj, active, proposal, assignment, cur, rng)
 
-        cur = assignment.qpu_map()
         remote = _remote_indices(circuit, indices, cur)
         plans.append(WindowPlan(interval, migrations, indices, remote,
                                 dict(assignment.placement), inherited))
 
-    return MappedProgram(circuit, hw, dt, 0, plans, init.copy(), assignment.copy())
+    return MappedProgram(circuit, hw, dt, plans, init.copy(), assignment.copy())
 
 
-def _window_proposal(wadj, active, cur, assignment: Assignment, caps) -> dict[int, int]:
+def _window_proposal(wadj, active, cur, caps) -> dict[int, int]:
     """Partition the window-active qubits into QPUs, warm-started from the
     incumbent placement. Full QPU capacities are used: idle residents do not
     block a proposal, since the migration pass can displace them (at teleport
@@ -310,18 +268,17 @@ def _window_proposal(wadj, active, cur, assignment: Assignment, caps) -> dict[in
 
 
 def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
-                       rng) -> list[Migration]:
+                       cur: dict[int, int], rng) -> list[Migration]:
     """Apply profitable moves in descending-benefit order. Moves are single
     teleports into free slots when available, otherwise pairwise exchanges
-    (two teleports) with an opposite mover or an idle resident."""
+    (two teleports) with an opposite mover or an idle resident. Updates
+    `assignment` and its QPU map `cur` in place."""
     migrations: list[Migration] = []
     active_set = set(active)
-
-    def qpus():
-        return assignment.qpu_map()
+    # kept ascending: the seeded slot draw indexes into this order
+    free = [assignment.free_slots(p) for p in range(len(assignment.hw.qpus))]
 
     while True:
-        cur = qpus()
         movers = [q for q in active if proposal[q] != cur[q]]
         if not movers:
             break
@@ -329,7 +286,7 @@ def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
         for q in movers:
             dst = proposal[q]
             gain = _move_gain(wadj, cur, q, dst)
-            if assignment.free_slots(dst):
+            if free[dst]:
                 net = gain - 1
                 cand = (net, 0, (q,), ("single", q, dst))
                 if best is None or _better(cand, best):
@@ -342,11 +299,11 @@ def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
                 cand = (joint - 2, 1, (q, r), ("pair", q, r))
                 if best is None or _better(cand, best):
                     best = cand
-            # pair with an idle resident of the target QPU
-            idle = [r for r, (p, _) in sorted(assignment.placement.items())
-                    if p == dst and r not in active_set]
-            if idle:
-                cand = (gain - 2, 2, (q, idle[0]), ("evict", q, idle[0]))
+            # pair with the lowest-numbered idle resident of the target QPU
+            idle = min((r for r, p in cur.items() if p == dst and r not in active_set),
+                       default=None)
+            if idle is not None:
+                cand = (gain - 2, 2, (q, idle), ("evict", q, idle))
                 if best is None or _better(cand, best):
                     best = cand
         if best is None or best[0] <= 0:
@@ -354,15 +311,17 @@ def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
         _, _, _, action = best
         if action[0] == "single":
             _, q, dst = action
-            free = assignment.free_slots(dst)
-            slot = free[rng.randrange(len(free))]
+            slot = free[dst].pop(rng.randrange(len(free[dst])))
             src = assignment.placement[q]
+            bisect.insort(free[src[0]], src[1])
             assignment.placement[q] = (dst, slot)
+            cur[q] = dst
             migrations.append(Migration(q, src, (dst, slot)))
         else:
             _, q, r = action
             sq, sr = assignment.placement[q], assignment.placement[r]
             assignment.placement[q], assignment.placement[r] = sr, sq
+            cur[q], cur[r] = cur[r], cur[q]
             migrations.append(Migration(q, sq, sr))
             migrations.append(Migration(r, sr, sq))
     return migrations
@@ -374,14 +333,3 @@ def _better(cand, best) -> bool:
     if cand[1] != best[1]:
         return cand[1] < best[1]
     return cand[2] < best[2]
-
-
-def _tags_for(circuit: Circuit, mp: MappedProgram) -> list[str]:
-    remote = {i for w in mp.windows for i in w.remote_gates}
-    tags = []
-    for i, g in enumerate(circuit.gates):
-        if g.kind == GateKind.CX:
-            tags.append("remote" if i in remote else "local")
-        else:
-            tags.append("local" if g.qubits else "other")
-    return tags

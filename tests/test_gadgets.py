@@ -6,6 +6,7 @@ import pytest
 from dqcc import (Circuit, Gate, GateKind, decompose_to_basis,
                   default_hardware, equivalence_report, equivalent, global_assign,
                   local_optimize, parse_qasm, schedule_asap, simulate)
+from dqcc.bench import compile_circuit
 from dqcc.gadgets import (GadgetError, cross_qpu_violations, epr_prepare,
                           expand_program, expand_remote_cnot, expand_teleport)
 
@@ -277,6 +278,31 @@ def test_exchange_migrations_expand_and_verify():
         candidate_in_wires=[exp.in_wires[q] for q in range(4)],
         candidate_out_wires=[exp.out_wires[q] for q in range(4)])
     assert rep.equivalent, rep.detail
+
+
+def test_teleporting_corpus_plans_verify():
+    # Short windows make the small corpus circuits teleport (at the default
+    # dt none of them does), so the oracle referees real migration plans,
+    # pairwise exchanges included.
+    failures, teleporting, exchanging = [], [], []
+    for name in ("tof_3", "tof_4", "barenco_tof_3", "barenco_tof_4", "mod5_4", "qft_4"):
+        for dt in (16.0, 8.0):
+            circuit = parse_qasm(corpus_text(name))
+            result = compile_circuit(circuit, None, dt, 0)
+            migrations = [m for w in result.mapped.windows for m in w.migrations]
+            if migrations:
+                teleporting.append((name, dt))
+            if any(a.src == b.dst and a.dst == b.src for a in migrations for b in migrations):
+                exchanging.append((name, dt))
+            exp = result.expanded
+            rep = equivalence_report(
+                result.decomposed, exp.circuit, tol=1e-9,
+                candidate_in_wires=[exp.in_wires[q] for q in range(circuit.num_qubits)],
+                candidate_out_wires=[exp.out_wires[q] for q in range(circuit.num_qubits)])
+            if not rep.equivalent:
+                failures.append((name, dt, rep.detail))
+    assert failures == []
+    assert teleporting and exchanging
 
 
 def test_throttle_flags_overconsumption():

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dqcc import (Circuit, DurationModel, InteractionGraph, PartitionVector,
                   association_ratio, cheeger_screen, conductance,
-                  interaction_graph, laplacian_eigenvalues, parse_qasm,
-                  schedule_asap)
-from dqcc.graphs import GraphError
+                  interaction_graph, laplacian_eigenvalues, make_windows,
+                  parse_qasm, schedule_asap)
+from dqcc.graphs import GraphError, circuit_graph
+from dqcc.mapper import _bucket_gates
 
 from conftest import corpus_text
 
@@ -42,15 +43,20 @@ def test_graph_validation():
 
 # -- interaction_graph ------------------------------------------------------
 
+def every_gate(circuit):
+    return range(len(circuit.gates))
+
+
 def test_full_graph_counts_repeated_pairs():
     c = Circuit(2).cx(0, 1).cx(0, 1).cx(1, 0)
-    g = interaction_graph(schedule_asap(c))
+    g = interaction_graph(c, every_gate(c))
     assert g.weights[0, 1] == 3
 
 
 def test_full_graph_total_weight_gf24():
-    sched = schedule_asap(parse_qasm(corpus_text("gf2_4_mult")))
-    assert interaction_graph(sched).total_weight() == 99
+    c = parse_qasm(corpus_text("gf2_4_mult"))
+    assert interaction_graph(c, every_gate(c)).total_weight() == 99
+    assert circuit_graph(c).total_weight() == 99
 
 
 def test_window_excludes_late_gates():
@@ -62,15 +68,24 @@ def test_window_excludes_late_gates():
     c.cx(0, 1)
     sched = schedule_asap(c, DurationModel())
     assert sched.start_times[-1] >= 300
-    g = interaction_graph(sched, (0.0, 200.0))
-    assert g.weights[0, 1] == 1
-    late = interaction_graph(sched, (200.0, 400.0))
+    windows = make_windows(sched, 200.0)
+    early, late = (interaction_graph(c, bucket)
+                   for bucket in _bucket_gates(sched, windows)[:2])
+    assert early.weights[0, 1] == 1
     assert late.weights[0, 1] == 1
 
 
 def test_barriers_not_in_graph():
     c = Circuit(2).barrier(0, 1).cx(0, 1)
-    assert interaction_graph(schedule_asap(c)).weights[0, 1] == 1
+    assert interaction_graph(c, every_gate(c)).weights[0, 1] == 1
+
+
+def test_graph_counts_only_cx_among_given_gates():
+    c = Circuit(3).cx(0, 1).h(0).cx(1, 2).cx(0, 1).rz(2, 0.1)
+    g = interaction_graph(c, [1, 2, 4])
+    assert g.weights[1, 2] == 1
+    assert g.weights[0, 1] == 0
+    assert g.total_weight() == 1
 
 
 # -- spectra ----------------------------------------------------------------

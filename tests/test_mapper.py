@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from dqcc import (Circuit, DurationModel, count_inter_qpu, count_two_qubit,
-                  decompose_to_basis, default_hardware, global_assign,
-                  local_optimize, make_windows, migration_rule, parse_qasm,
-                  schedule_asap)
+from dqcc import (Circuit, DurationModel, count_inter_qpu, decompose_to_basis,
+                  default_hardware, global_assign, local_optimize, make_windows,
+                  parse_qasm, schedule_asap)
 from dqcc.circuits import GateKind
-from dqcc.graphs import InteractionGraph
 from dqcc.hardware import HardwareSpec, Link, QPU
-from dqcc.mapper import CapacityError
+from dqcc.mapper import CapacityError, _move_gain
 
 from conftest import corpus_text
 
@@ -62,7 +60,8 @@ def test_global_assign_slots_valid_and_seeded():
     a0.validate()
     assert a0.placement == a1.placement
     assert a0.qpu_map() == a2.qpu_map()  # partition is seed-independent
-    assert a0.placement != a2.placement or a0.placement == a2.placement  # slots may differ
+    a2.validate()
+    assert a0.placement != a2.placement  # the seed draws the slots
 
 
 # -- make_windows ------------------------------------------------------------
@@ -93,41 +92,21 @@ def test_every_gate_in_exactly_one_window():
         assert len(hits) == 1
 
 
-# -- migration_rule ----------------------------------------------------------
+# -- _move_gain --------------------------------------------------------------
 
-def window_graph_star(remote_edges, local_edges=0):
-    # qubit 0 with `remote_edges` gates to qubit 1 (other QPU) and
-    # `local_edges` gates to qubit 2 (same QPU)
+@pytest.mark.parametrize("remote_edges, local_edges, gain", [
+    (3, 0, 3),   # every remote gate to qubit 1 becomes local
+    (1, 0, 1),   # ties with the one teleport the move costs
+    (0, 2, -2),  # local gates to qubit 2 become remote
+    (3, 3, 0),   # saved and newly created remotes cancel
+], ids=["clear_win", "tie", "no_remote_gates", "new_remotes"])
+def test_move_gain_star(remote_edges, local_edges, gain):
+    # qubit 0 on QPU 0 with `remote_edges` gates to qubit 1 (QPU 1) and
+    # `local_edges` gates to qubit 2 (QPU 0), moved alone to QPU 1
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = remote_edges
     w[0, 2] = w[2, 0] = local_edges
-    return InteractionGraph(w)
-
-
-def test_rule_migrates_on_clear_win():
-    g = window_graph_star(3)
-    assert migration_rule(0, g, {0: 0, 1: 1, 2: 0}, 1) == "migrate"
-
-
-def test_rule_stays_on_tie():
-    g = window_graph_star(1)
-    assert migration_rule(0, g, {0: 0, 1: 1, 2: 0}, 1) == "stay"
-
-
-def test_rule_stays_with_no_remote_gates():
-    g = window_graph_star(0, local_edges=2)
-    assert migration_rule(0, g, {0: 0, 1: 1, 2: 0}, 1) == "stay"
-
-
-def test_rule_counts_newly_created_remotes():
-    # 3 remote gates to QPU1 but 3 local gates that would become remote
-    g = window_graph_star(3, local_edges=3)
-    assert migration_rule(0, g, {0: 0, 1: 1, 2: 0}, 1) == "stay"
-
-
-def test_rule_respects_capacity():
-    g = window_graph_star(5)
-    assert migration_rule(0, g, {0: 0, 1: 1, 2: 0}, 1, capacity_free=False) == "stay"
+    assert _move_gain(w, {0: 0, 1: 1, 2: 0}, 0, 1) == gain
 
 
 # -- local_optimize ----------------------------------------------------------
@@ -195,7 +174,6 @@ def test_local_tags_are_consistent_with_window_placements():
                 continue
             spans = qpus[g.qubits[0]] != qpus[g.qubits[1]]
             assert spans == (i in w.remote_gates)
-            assert (mp.tags[i] == "remote") == spans
 
 
 def test_windows_never_worse_than_inherited():
@@ -229,19 +207,6 @@ def test_pipeline_deterministic_with_seed():
                      [tuple((m.qubit, m.src, m.dst) for m in w.migrations)
                       for w in mp.windows]))
     assert runs[0] == runs[1]
-
-
-def test_annotated_circuit_counting():
-    c = decompose_to_basis(parse_qasm(corpus_text("gf2_4_mult")))
-    hw = default_hardware(12)
-    sched = schedule_asap(c, hw.durations)
-    init = global_assign(c, hw, 0)
-    mp = local_optimize(sched, hw, init, 200.0, 0)
-    ann = mp.annotated_circuit()
-    assert count_two_qubit(ann) == count_two_qubit(c) + mp.teleport_count
-    markers = sum(1 for g in ann.gates
-                  if g.kind in (GateKind.REMOTE_CX, GateKind.TELEPORT))
-    assert markers == mp.inter_qpu_total
 
 
 def test_assignments_thread_through_windows():
