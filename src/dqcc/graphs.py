@@ -24,7 +24,7 @@ class InteractionGraph:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise GraphError("weight matrix must be square")
-        if not np.allclose(w, w.T, atol=1e-12):
+        if not (np.array_equal(w, w.T) or np.allclose(w, w.T, atol=1e-12)):
             raise GraphError("weight matrix must be symmetric")
         if np.any(np.diag(w) != 0):
             raise GraphError("weight matrix must have zero diagonal")

@@ -71,14 +71,14 @@ def _bisect_sorted(graph: InteractionGraph, spec: SizeSpec, order: np.ndarray) -
     hi = min(avail0, nf)
     if lo > hi:
         raise PartitionError("pins and capacities leave no feasible split")
-    w = graph.weights
+    lap = graph.laplacian()
     best_labels, best_cost = None, None
     for m in range(lo, hi + 1):
         cand = labels.copy()
         cand[free[:m]] = 0
         cand[free[m:]] = 1
         side = cand.astype(float)
-        cost = float(side @ (np.diag(w.sum(axis=1)) - w) @ side)
+        cost = float(side @ lap @ side)
         if best_cost is None or cost < best_cost - 1e-12:
             best_labels, best_cost = cand, cost
     return best_labels
@@ -118,8 +118,9 @@ def spectral_partition(graph: InteractionGraph, spec: SizeSpec) -> PartitionVect
             continue
         sub = graph.subgraph(verts)
         sub_sizes = tuple(spec.sizes[j] for j in group)
-        sub_pins = {verts.index(v): group.index(j)
-                    for v, j in spec.pinned.items() if v in verts}
+        pos = {v: i for i, v in enumerate(verts)}
+        sub_pins = {pos[v]: group.index(j)
+                    for v, j in spec.pinned.items() if v in pos}
         if len(group) == 1:
             sub_labels = np.zeros(len(verts), dtype=int)
         else:
@@ -132,51 +133,52 @@ def spectral_partition(graph: InteractionGraph, spec: SizeSpec) -> PartitionVect
 def _kl_pass_two(w: np.ndarray, labels: np.ndarray, pinned: set[int]) -> tuple[np.ndarray, float]:
     """One classic KL pass on a bipartition: repeatedly pick the best unlocked
     swap by gain, lock the pair, then keep the best prefix. Returns the new
-    labels and the (nonnegative) improvement."""
+    labels and the (nonnegative) improvement.
+
+    The pass keeps one gain matrix G[a, b] = D[a] + D[b] - 2 w[a, b], finite
+    only for unlocked side-0 rows a and unlocked side-1 columns b. Each swap
+    takes the first maximal pair in (side-0 index, side-1 index) order; gains
+    are exact on integer gate counts, so ties never depend on rounding."""
     n = len(labels)
     side = labels.copy()
+    rows = side == 0
+    cols = ~rows
+    if pinned:
+        locked = list(pinned)
+        rows[locked] = False
+        cols[locked] = False
+    steps = min(np.count_nonzero(rows), np.count_nonzero(cols))
+    if not steps:
+        return side, 0.0
     # D[v] = external - internal connection weight
-    same = (side[:, None] == side[None, :])
-    d = (w * ~same).sum(axis=1) - (w * same).sum(axis=1)
-    locked = np.zeros(n, dtype=bool)
-    for v in pinned:
-        locked[v] = True
+    sign = 2.0 * side - 1
+    d = -sign * (w @ sign)
+    gain = np.where(rows[:, None] & cols, d[:, None] + d - 2 * w, -np.inf)
     swaps: list[tuple[int, int]] = []
     gains: list[float] = []
-    work = side.copy()
-    while True:
-        zeros = [v for v in range(n) if not locked[v] and work[v] == 0]
-        ones = [v for v in range(n) if not locked[v] and work[v] == 1]
-        if not zeros or not ones:
-            break
-        best, best_pair = None, None
-        for a in zeros:
-            for b in ones:
-                g = d[a] + d[b] - 2 * w[a, b]
-                if best is None or g > best + 1e-12:
-                    best, best_pair = g, (a, b)
-        a, b = best_pair
+    for step in range(steps):
+        a, b = divmod(int(gain.argmax()), n)
         swaps.append((a, b))
-        gains.append(best)
-        locked[a] = locked[b] = True
-        # Standard D-value update for remaining unlocked vertices.
-        for v in range(n):
-            if locked[v]:
-                continue
-            if work[v] == 0:
-                d[v] += 2 * w[v, a] - 2 * w[v, b]
-            else:
-                d[v] += 2 * w[v, b] - 2 * w[v, a]
-        work[a], work[b] = 1, 0
-    if not gains:
+        gains.append(float(gain[a, b]))
+        if step == steps - 1:
+            break
+        gain[a] = -np.inf
+        gain[:, b] = -np.inf
+        # D update for the unlocked vertices: side 0 gains e, side 1 loses it.
+        e = 2 * (w[:, a] - w[:, b])
+        gain += np.subtract.outer(e, e)
+    # Keep the first best prefix, if it improves the cut at all. A plain loop:
+    # most passes have a handful of swaps, where np.cumsum costs more.
+    best, best_len, total = 1e-12, 0, 0.0
+    for i, g in enumerate(gains):
+        total += g
+        if total > best:
+            best, best_len = total, i + 1
+    if not best_len:
         return side, 0.0
-    prefix = np.cumsum(gains)
-    best_idx = int(np.argmax(prefix))
-    if prefix[best_idx] <= 1e-12:
-        return side, 0.0
-    for a, b in swaps[:best_idx + 1]:
+    for a, b in swaps[:best_len]:
         side[a], side[b] = 1, 0
-    return side, float(prefix[best_idx])
+    return side, best
 
 
 def kl_refine(graph: InteractionGraph, partition: PartitionVector,
@@ -207,7 +209,8 @@ def kl_refine(graph: InteractionGraph, partition: PartitionVector,
                     continue
                 sub = graph.subgraph(verts)
                 sub_labels = np.array([0 if labels[v] == a else 1 for v in verts])
-                sub_pinned = {verts.index(v) for v in pinned if v in verts}
+                pos = {v: i for i, v in enumerate(verts)}
+                sub_pinned = {pos[v] for v in pinned if v in pos}
                 new_labels, gain = _kl_pass_two(sub.weights, sub_labels, sub_pinned)
                 if gain > 0:
                     improved = True

@@ -41,6 +41,21 @@ def test_graph_validation():
         InteractionGraph(-np.ones((2, 2)) + np.eye(2))
 
 
+def test_graph_validation_rules():
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
+    near = w.copy()
+    near[0, 1] += 1e-13
+    assert InteractionGraph(near).n == 2
+    far = w.copy()
+    far[0, 1] += 1e-3
+    nan = w.copy()
+    nan[0, 1] = nan[1, 0] = np.nan
+    diagonal = w + np.eye(2)
+    for bad in (far, nan, -w, diagonal):
+        with pytest.raises(GraphError):
+            InteractionGraph(bad)
+
+
 # -- interaction_graph ------------------------------------------------------
 
 def every_gate(circuit):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dqcc import (Circuit, DurationModel, count_inter_qpu, decompose_to_basis,
-                  default_hardware, global_assign, local_optimize, make_windows,
-                  parse_qasm, schedule_asap)
+from dqcc import (Circuit, DurationModel, corpusgen, count_inter_qpu,
+                  decompose_to_basis, default_hardware, global_assign,
+                  local_optimize, make_windows, parse_qasm, schedule_asap)
+from dqcc.bench import compile_circuit
 from dqcc.circuits import GateKind
 from dqcc.hardware import HardwareSpec, Link, QPU
 from dqcc.mapper import CapacityError, _move_gain
@@ -222,3 +223,32 @@ def test_assignments_thread_through_windows():
             placement[mig.qubit] = mig.dst
         assert placement == w.placement
     assert placement == mp.final.placement
+
+
+# -- golden counts -------------------------------------------------------------
+
+GOLDEN = [
+    # circuit, dt, (global_interqpu, local_interqpu, teleports, epr_consumed, local_plan)
+    ("tof_chain_40", None, (8, 8, 0, 8, "windowed")),
+    ("barenco_tof_60", None, (16, 16, 0, 16, "windowed")),
+    ("gf2_10_mult", None, (301, 189, 36, 189, "windowed")),
+    ("gf2_10_mult", 16.0, (301, 206, 108, 206, "windowed")),
+    ("barenco_tof_10", 8.0, (16, 16, 0, 16, "static")),
+]
+
+
+def golden_circuit(name):
+    if name == "tof_chain_40":
+        return corpusgen.tof_chain(40)[0]
+    if name == "barenco_tof_60":
+        return corpusgen.barenco_tof(60)[0]
+    return parse_qasm(corpus_text(name))
+
+
+@pytest.mark.parametrize("name,dt,counts", GOLDEN)
+def test_golden_counts_seed0(name, dt, counts):
+    """Pins seed-0 records, so that a tie-break change in KL or in the
+    spectral bisection fails here rather than only moving benchmark counts."""
+    r = compile_circuit(golden_circuit(name), None, dt, 0).record
+    assert (r["global_interqpu"], r["local_interqpu"], r["teleports"],
+            r["epr_consumed"], r["local_plan"]) == counts

@@ -3,7 +3,8 @@ import pytest
 
 from dqcc import (InteractionGraph, PartitionVector, SizeSpec, cut_cost,
                   exact_min_cut, kl_refine, spectral_partition)
-from dqcc.partition import PartitionError
+from dqcc import partition
+from dqcc.partition import PartitionError, _kl_pass_two
 
 from test_graphs import complete, two_triangles_with_bridge
 
@@ -96,6 +97,18 @@ def test_spectral_kway_recursive():
     assert cut_cost(g, p) <= 2 * 2.0 + 1e-9
 
 
+def test_spectral_kway_respects_pins():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(6, 25))
+        w = np.triu(rng.integers(0, 2, (n, n)), 1).astype(float)
+        sizes = (n // 3 + 1, n // 3 + 1, n - 2 * (n // 3))
+        pins = {int(v): int(j) for v, j in zip(rng.permutation(n)[:3], (2, 1, 0))}
+        p = spectral_partition(InteractionGraph(w + w.T), SizeSpec(sizes, pins))
+        assert all(p.labels[v] == j for v, j in pins.items())
+        assert all(got <= cap for got, cap in zip(p.sizes(), sizes))
+
+
 def test_spectral_deterministic():
     g = barbell_k5()
     a = spectral_partition(g, SizeSpec((5, 5)))
@@ -145,6 +158,95 @@ def test_kl_rejects_partition_violating_pins():
     p = PartitionVector(np.array([0, 0, 1, 1]), 2)
     with pytest.raises(PartitionError):
         kl_refine(g, p, SizeSpec((2, 2), pinned={0: 1}))
+
+
+def reference_kl_pass_two(w, labels, pinned):
+    """The textbook O(n^2)-per-swap KL pass that `_kl_pass_two` replaces:
+    scan unlocked (side-0, side-1) pairs in index order, keep the first whose
+    gain beats the running best, lock it and update D for the rest."""
+    n = len(labels)
+    side = labels.copy()
+    same = (side[:, None] == side[None, :])
+    d = (w * ~same).sum(axis=1) - (w * same).sum(axis=1)
+    locked = np.zeros(n, dtype=bool)
+    for v in pinned:
+        locked[v] = True
+    swaps, gains = [], []
+    work = side.copy()
+    while True:
+        zeros = [v for v in range(n) if not locked[v] and work[v] == 0]
+        ones = [v for v in range(n) if not locked[v] and work[v] == 1]
+        if not zeros or not ones:
+            break
+        best, best_pair = None, None
+        for a in zeros:
+            for b in ones:
+                g = d[a] + d[b] - 2 * w[a, b]
+                if best is None or g > best + 1e-12:
+                    best, best_pair = g, (a, b)
+        a, b = best_pair
+        swaps.append((a, b))
+        gains.append(best)
+        locked[a] = locked[b] = True
+        for v in range(n):
+            if locked[v]:
+                continue
+            if work[v] == 0:
+                d[v] += 2 * w[v, a] - 2 * w[v, b]
+            else:
+                d[v] += 2 * w[v, b] - 2 * w[v, a]
+        work[a], work[b] = 1, 0
+    if not gains:
+        return side, 0.0
+    prefix = np.cumsum(gains)
+    best_idx = int(np.argmax(prefix))
+    if prefix[best_idx] <= 1e-12:
+        return side, 0.0
+    for a, b in swaps[:best_idx + 1]:
+        side[a], side[b] = 1, 0
+    return side, float(prefix[best_idx])
+
+
+def random_instance(rng, n, max_weight=1):
+    """Integer weights in [0, max_weight]; 0/1 makes gain ties common."""
+    w = np.triu(rng.integers(0, max_weight + 1, (n, n)), 1).astype(float)
+    labels = rng.integers(0, 2, n)
+    pinned = {int(v) for v in np.flatnonzero(rng.random(n) < rng.uniform(0, 0.5))}
+    return w + w.T, labels, pinned
+
+
+@pytest.mark.parametrize("max_weight", [1, 3])
+def test_kl_pass_matches_reference(max_weight):
+    rng = np.random.default_rng(max_weight)
+    for _ in range(300):
+        n = int(rng.integers(2, 41))
+        w, labels, pinned = random_instance(rng, n, max_weight)
+        before = labels.copy()
+        got_labels, got_gain = _kl_pass_two(w, labels, pinned)
+        assert np.array_equal(labels, before)
+        ref_labels, ref_gain = reference_kl_pass_two(w, labels, pinned)
+        assert np.array_equal(got_labels, ref_labels)
+        assert got_gain == ref_gain
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_kl_refine_matches_reference_pass(k, monkeypatch):
+    rng = np.random.default_rng(10 + k)
+    cases = []
+    for _ in range(100):
+        n = int(rng.integers(k, 31))
+        w = np.triu(rng.integers(0, 2, (n, n)), 1).astype(float)
+        g = InteractionGraph(w + w.T)
+        labels = rng.integers(0, k, n)
+        pins = {int(v): int(labels[v]) for v in range(n) if rng.random() < 0.2}
+        sizes = tuple(int(np.sum(labels == j)) + int(rng.integers(1, 3)) for j in range(k))
+        cases.append((g, PartitionVector(labels, k), SizeSpec(sizes, pins)))
+    got = [kl_refine(*case).labels for case in cases]
+    monkeypatch.setattr(partition, "_kl_pass_two", reference_kl_pass_two)
+    ref = [kl_refine(*case).labels for case in cases]
+    for (_, _, spec), a, b in zip(cases, got, ref):
+        assert np.array_equal(a, b)
+        assert all(a[v] == j for v, j in spec.pinned.items())
 
 
 # -- exact_min_cut ------------------------------------------------------------
