@@ -11,8 +11,8 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from .circuits import (Circuit, CircuitError, count_inter_qpu, count_two_qubit,
-                       decompose_to_basis, schedule_asap)
+from .circuits import (Circuit, count_inter_qpu, count_two_qubit, decompose_to_basis,
+                       schedule_asap)
 from .corpusgen import PUBLISHED_BASELINES, trivial_qpu_map, verified_reconstruction
 from .gadgets import ExpandedProgram, GadgetError, expand_program
 from .graphs import cheeger_screen, InteractionGraph
@@ -150,7 +150,7 @@ def bench_circuit(name: str, text: str, hw: HardwareSpec | None,
     rec = BenchRecord(name)
     try:
         circuit = parse_qasm(text)
-    except (QasmError, CircuitError) as exc:
+    except QasmError as exc:
         rec.error = f"parse error: {exc}"
         return rec
     for seed in seeds:

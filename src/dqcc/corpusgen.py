@@ -322,8 +322,8 @@ def write_corpus(directory: str) -> dict:
     baselines = {}
     for name in sorted(BUILDERS):
         text = qasm_text(name)
-        # the emitted file must parse back to the built circuit
-        assert parse_qasm(text) == build(name), name
+        if parse_qasm(text) != build(name):
+            raise RuntimeError(f"{name}: emitted QASM does not parse back to the built circuit")
         with open(os.path.join(directory, f"{name}.qasm"), "w", encoding="utf-8") as fh:
             fh.write(text)
         baselines[name] = recorded_baseline(name)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .circuits import Circuit, GateKind
+from .circuits import Circuit, CircuitError, Gate, GateKind
 
 
 class QasmError(ValueError):
@@ -23,89 +23,77 @@ class QasmError(ValueError):
         super().__init__(message)
 
 
-@dataclass
-class QasmProgram:
-    """Parsed program before flattening to a Circuit."""
-    version: str
-    qregs: dict[str, int]
-    cregs: dict[str, int]
-    statements: list = field(default_factory=list)
-
-
+# Whitespace and comments are the unnamed alternatives, so their matches have
+# no lastgroup and are dropped; `bad` catches any character no token starts.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
+    \s+ | //[^\n]*
   | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<int>\d+)
   | (?P<id>[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<str>"[^"\n]*")
   | (?P<op>==|->|[-+*/()\[\],;{}])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
+# A token is (kind, text, offset into the source text).
+_Tok = tuple[str, str, int]
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QasmError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok, line, col))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    return tokens
-
-
-_GATE_ARITY = {
-    "x": 1, "z": 1, "s": 1, "sdg": 1, "t": 1, "tdg": 1, "h": 1,
-    "rx": 1, "rz": 1, "cx": 2, "ccx": 3,
+_GATES = {  # name -> (kind, operand count)
+    "x": (GateKind.X, 1), "z": (GateKind.Z, 1), "s": (GateKind.S, 1),
+    "sdg": (GateKind.SDG, 1), "t": (GateKind.T, 1), "tdg": (GateKind.TDG, 1),
+    "h": (GateKind.H, 1), "rx": (GateKind.RX, 1), "rz": (GateKind.RZ, 1),
+    "cx": (GateKind.CX, 2), "ccx": (GateKind.CCX, 3),
 }
 _PARAM_GATES = {"rx", "rz"}
 
 
 class _Parser:
+    """Tokenizes the whole text, then reads the tokens once, appending
+    flat-indexed gates as it goes."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = [(kind, m.group(), m.start())
+                       for m in _TOKEN_RE.finditer(text) if (kind := m.lastgroup)]
+        if "bad" in map(itemgetter(0), self.tokens):
+            bad = next(tok for tok in self.tokens if tok[0] == "bad")
+            raise self._error(f"unexpected character {bad[1]!r}", bad)
         self.pos = 0
+        # register name -> (flat offset, size), in declaration order
+        self.qregs: dict[str, tuple[int, int]] = {}
+        self.cregs: dict[str, tuple[int, int]] = {}
+        self.num_qubits = 0
+        self.num_bits = 0
+        self.gates: list[Gate] = []
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _error(self, message: str, tok: _Tok) -> QasmError:
+        """A QasmError at tok; line and column are worked out from its offset."""
+        off = tok[2]
+        return QasmError(message, self.text.count("\n", 0, off) + 1,
+                         off - self.text.rfind("\n", 0, off))
 
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise QasmError("unexpected end of input", last.line, last.col)
+    def _peek_text(self) -> str | None:
+        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else None
+
+    def _next(self) -> _Tok:
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            last = self.tokens[-1] if self.tokens else ("", "", 0)
+            raise self._error("unexpected end of input", last) from None
         self.pos += 1
         return tok
 
-    def _expect(self, text: str) -> _Token:
+    def _expect(self, text: str) -> _Tok:
         tok = self._next()
-        if tok.text != text:
-            raise QasmError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+        if tok[1] != text:
+            raise self._error(f"expected {text!r}, found {tok[1]!r}", tok)
         return tok
 
-    def _expect_kind(self, kind: str) -> _Token:
+    def _expect_kind(self, kind: str) -> _Tok:
         tok = self._next()
-        if tok.kind != kind:
-            raise QasmError(f"expected {kind}, found {tok.text!r}", tok.line, tok.col)
+        if tok[0] != kind:
+            raise self._error(f"expected {kind}, found {tok[1]!r}", tok)
         return tok
 
     # -- angle expressions ------------------------------------------------
@@ -113,233 +101,176 @@ class _Parser:
     # factor := ['-'] (real | int | 'pi' | '(' expr ')')
     def _expr(self) -> float:
         value = self._term()
-        while True:
-            tok = self._peek()
-            if tok and tok.text in ("+", "-"):
-                self._next()
-                rhs = self._term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
+        while (op := self._peek_text()) in ("+", "-"):
+            self._next()
+            rhs = self._term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def _term(self) -> float:
         value = self._factor()
-        while True:
-            tok = self._peek()
-            if tok and tok.text in ("*", "/"):
-                self._next()
-                rhs = self._factor()
-                if tok.text == "/":
-                    if rhs == 0:
-                        raise QasmError("division by zero in angle", tok.line, tok.col)
-                    value /= rhs
-                else:
-                    value *= rhs
+        while (op := self._peek_text()) in ("*", "/"):
+            tok = self._next()
+            rhs = self._factor()
+            if op == "/":
+                if rhs == 0:
+                    raise self._error("division by zero in angle", tok)
+                value /= rhs
             else:
-                return value
+                value *= rhs
+        return value
 
     def _factor(self) -> float:
         tok = self._next()
-        if tok.text == "-":
+        kind, text, _ = tok
+        if text == "-":
             return -self._factor()
-        if tok.text == "(":
+        if text == "(":
             value = self._expr()
             self._expect(")")
             return value
-        if tok.kind in ("real", "int"):
-            return float(tok.text)
-        if tok.text == "pi":
+        if kind in ("real", "int"):
+            return float(text)
+        if text == "pi":
             return math.pi
-        raise QasmError(f"bad angle term {tok.text!r}", tok.line, tok.col)
+        raise self._error(f"bad angle term {text!r}", tok)
 
     # -- program ----------------------------------------------------------
-    def parse(self) -> QasmProgram:
+    def parse(self) -> Circuit:
         tok = self._expect("OPENQASM")
-        version = self._expect_kind("real").text
+        version = self._expect_kind("real")[1]
         if version != "2.0":
-            raise QasmError(f"unsupported OPENQASM version {version}", tok.line, tok.col)
+            raise self._error(f"unsupported OPENQASM version {version}", tok)
         self._expect(";")
-        prog = QasmProgram(version, {}, {})
-        while self._peek() is not None:
-            self._statement(prog)
-        return prog
+        while self.pos < len(self.tokens):
+            self._statement()
+        return Circuit(self.num_qubits, self.num_bits, self.gates)
 
-    def _declared(self, prog: QasmProgram, name: str, tok: _Token) -> None:
-        if name in prog.qregs or name in prog.cregs:
-            raise QasmError(f"duplicate register name {name!r}", tok.line, tok.col)
+    def _add(self, tok: _Tok, kind: GateKind, qubits: tuple[int, ...],
+             params: tuple[float, ...] = (), bits: tuple[int, ...] = ()) -> None:
+        """Append one gate; a gate the IR rejects is an error at tok."""
+        try:
+            self.gates.append(Gate(kind, qubits, params, bits))
+        except CircuitError as exc:
+            raise self._error(str(exc), tok) from None
 
-    def _statement(self, prog: QasmProgram) -> None:
+    def _statement(self) -> None:
         tok = self._next()
-        if tok.text == "include":
-            inc = self._expect_kind("str")
-            if inc.text != '"qelib1.inc"':
-                raise QasmError(f"unsupported include {inc.text}", inc.line, inc.col)
-            self._expect(";")
-        elif tok.text in ("qreg", "creg"):
-            name_tok = self._expect_kind("id")
-            self._declared(prog, name_tok.text, name_tok)
-            self._expect("[")
-            size = int(self._expect_kind("int").text)
-            self._expect("]")
-            self._expect(";")
-            if size < 1:
-                raise QasmError("register size must be >= 1", name_tok.line, name_tok.col)
-            (prog.qregs if tok.text == "qreg" else prog.cregs)[name_tok.text] = size
-        elif tok.text == "measure":
-            q = self._qubit_ref(prog)
-            self._expect("->")
-            c = self._bit_ref(prog)
-            self._expect(";")
-            prog.statements.append(("measure", q, c))
-        elif tok.text == "barrier":
-            qubits = [self._qubit_operands(prog)]
-            while self._peek() and self._peek().text == ",":
-                self._next()
-                qubits.append(self._qubit_operands(prog))
-            self._expect(";")
-            flat = [q for group in qubits for q in group]
-            prog.statements.append(("barrier", flat))
-        elif tok.text == "if":
-            self._expect("(")
-            name_tok = self._expect_kind("id")
-            creg = name_tok.text
-            if creg not in prog.cregs:
-                raise QasmError(f"undeclared creg {creg!r}", name_tok.line, name_tok.col)
-            if prog.cregs[creg] != 1:
-                raise QasmError("classical control requires a single-bit creg",
-                                name_tok.line, name_tok.col)
-            self._expect("==")
-            val_tok = self._expect_kind("int")
-            if val_tok.text != "1":
-                raise QasmError("only `== 1` conditions are supported",
-                                val_tok.line, val_tok.col)
-            self._expect(")")
-            gate_tok = self._next()
-            if gate_tok.text not in ("x", "z"):
-                raise QasmError(f"unsupported conditioned gate {gate_tok.text!r}",
-                                gate_tok.line, gate_tok.col)
-            q = self._qubit_ref(prog)
-            self._expect(";")
-            bit = self._flatten_bit(prog, creg, 0)
-            prog.statements.append(("cc_" + gate_tok.text, bit, q))
-        elif tok.text == "gate" or tok.text == "opaque":
-            raise QasmError("custom gate definitions are not supported", tok.line, tok.col)
-        elif tok.kind == "id" and tok.text in _GATE_ARITY:
-            name = tok.text
+        text = tok[1]
+        if text in _GATES:
+            gate_kind, arity = _GATES[text]
             params: tuple[float, ...] = ()
-            if name in _PARAM_GATES:
+            if text in _PARAM_GATES:
                 self._expect("(")
                 params = (self._expr(),)
                 self._expect(")")
-            operands = [self._qubit_ref(prog)]
-            while self._peek() and self._peek().text == ",":
-                self._next()
-                operands.append(self._qubit_ref(prog))
+            operands = [self._ref(self.qregs, "qreg")]
+            while self._peek_text() == ",":
+                self.pos += 1
+                operands.append(self._ref(self.qregs, "qreg"))
             self._expect(";")
-            if len(operands) != _GATE_ARITY[name]:
-                raise QasmError(f"{name} expects {_GATE_ARITY[name]} operand(s), "
-                                f"got {len(operands)}", tok.line, tok.col)
-            prog.statements.append(("gate", name, params, operands))
-        else:
-            raise QasmError(f"unsupported statement {tok.text!r}", tok.line, tok.col)
-
-    def _qubit_operands(self, prog: QasmProgram) -> list[tuple[str, int]]:
-        """One barrier operand: q[i] or a whole register q."""
-        name_tok = self._expect_kind("id")
-        name = name_tok.text
-        if name not in prog.qregs:
-            raise QasmError(f"undeclared qreg {name!r}", name_tok.line, name_tok.col)
-        if self._peek() and self._peek().text == "[":
-            self._next()
-            idx = int(self._expect_kind("int").text)
+            if len(operands) != arity:
+                raise self._error(f"{text} expects {arity} operand(s), "
+                                  f"got {len(operands)}", tok)
+            self._add(tok, gate_kind, tuple(operands), params)
+        elif text == "include":
+            inc = self._expect_kind("str")
+            if inc[1] != '"qelib1.inc"':
+                raise self._error(f"unsupported include {inc[1]}", inc)
+            self._expect(";")
+        elif text in ("qreg", "creg"):
+            name_tok = self._expect_kind("id")
+            name = name_tok[1]
+            if name in self.qregs or name in self.cregs:
+                raise self._error(f"duplicate register name {name!r}", name_tok)
+            self._expect("[")
+            size = int(self._expect_kind("int")[1])
             self._expect("]")
-            self._check_bounds(prog.qregs[name], name, idx, name_tok)
-            return [(name, idx)]
-        return [(name, i) for i in range(prog.qregs[name])]
+            self._expect(";")
+            if size < 1:
+                raise self._error("register size must be >= 1", name_tok)
+            if text == "qreg":
+                self.qregs[name] = (self.num_qubits, size)
+                self.num_qubits += size
+            else:
+                self.cregs[name] = (self.num_bits, size)
+                self.num_bits += size
+        elif text == "measure":
+            q = self._ref(self.qregs, "qreg")
+            self._expect("->")
+            b = self._ref(self.cregs, "creg")
+            self._expect(";")
+            self._add(tok, GateKind.MEASURE, (q,), bits=(b,))
+        elif text == "barrier":
+            qubits = self._barrier_operand()
+            while self._peek_text() == ",":
+                self.pos += 1
+                qubits.extend(self._barrier_operand())
+            self._expect(";")
+            self._add(tok, GateKind.BARRIER, tuple(qubits))
+        elif text == "if":
+            self._expect("(")
+            name_tok, (bit, size) = self._register(self.cregs, "creg")
+            if size != 1:
+                raise self._error("classical control requires a single-bit creg", name_tok)
+            self._expect("==")
+            val_tok = self._expect_kind("int")
+            if val_tok[1] != "1":
+                raise self._error("only `== 1` conditions are supported", val_tok)
+            self._expect(")")
+            gate_tok = self._next()
+            if gate_tok[1] not in ("x", "z"):
+                raise self._error(f"unsupported conditioned gate {gate_tok[1]!r}", gate_tok)
+            q = self._ref(self.qregs, "qreg")
+            self._expect(";")
+            cc_kind = GateKind.CC_X if gate_tok[1] == "x" else GateKind.CC_Z
+            self._add(tok, cc_kind, (q,), bits=(bit,))
+        elif text == "gate" or text == "opaque":
+            raise self._error("custom gate definitions are not supported", tok)
+        else:
+            raise self._error(f"unsupported statement {text!r}", tok)
 
-    def _qubit_ref(self, prog: QasmProgram) -> tuple[str, int]:
+    def _register(self, regs: dict[str, tuple[int, int]],
+                  what: str) -> tuple[_Tok, tuple[int, int]]:
+        """A declared register's name token and (flat offset, size)."""
         name_tok = self._expect_kind("id")
-        name = name_tok.text
-        if name not in prog.qregs:
-            raise QasmError(f"undeclared qreg {name!r}", name_tok.line, name_tok.col)
-        self._expect("[")
-        idx = int(self._expect_kind("int").text)
-        self._expect("]")
-        self._check_bounds(prog.qregs[name], name, idx, name_tok)
-        return (name, idx)
+        reg = regs.get(name_tok[1])
+        if reg is None:
+            raise self._error(f"undeclared {what} {name_tok[1]!r}", name_tok)
+        return name_tok, reg
 
-    def _bit_ref(self, prog: QasmProgram) -> tuple[str, int]:
-        name_tok = self._expect_kind("id")
-        name = name_tok.text
-        if name not in prog.cregs:
-            raise QasmError(f"undeclared creg {name!r}", name_tok.line, name_tok.col)
+    def _index(self, name_tok: _Tok, size: int) -> int:
+        """`[i]` after a register name, checked against its size."""
         self._expect("[")
-        idx = int(self._expect_kind("int").text)
+        idx = int(self._expect_kind("int")[1])
         self._expect("]")
-        self._check_bounds(prog.cregs[name], name, idx, name_tok)
-        return (name, idx)
-
-    @staticmethod
-    def _check_bounds(size: int, name: str, idx: int, tok: _Token) -> None:
         if not 0 <= idx < size:
-            raise QasmError(f"index {idx} out of bounds for {name}[{size}]",
-                            tok.line, tok.col)
+            raise self._error(f"index {idx} out of bounds for {name_tok[1]}[{size}]",
+                              name_tok)
+        return idx
 
-    def _flatten_bit(self, prog: QasmProgram, name: str, idx: int) -> int:
-        offset = 0
-        for rname, size in prog.cregs.items():
-            if rname == name:
-                return offset + idx
-            offset += size
-        raise QasmError(f"undeclared creg {name!r}")
+    def _ref(self, regs: dict[str, tuple[int, int]], what: str) -> int:
+        """A flat index from `name[i]`."""
+        name_tok, (offset, size) = self._register(regs, what)
+        return offset + self._index(name_tok, size)
 
-
-def parse_program(text: str) -> QasmProgram:
-    return _Parser(text).parse()
-
-
-def _to_circuit(prog: QasmProgram) -> Circuit:
-    qoffsets, offset = {}, 0
-    for name, size in prog.qregs.items():
-        qoffsets[name] = offset
-        offset += size
-    num_qubits = offset
-    boffsets, offset = {}, 0
-    for name, size in prog.cregs.items():
-        boffsets[name] = offset
-        offset += size
-    num_bits = offset
-
-    def q(ref): return qoffsets[ref[0]] + ref[1]
-
-    circuit = Circuit(num_qubits, num_bits)
-    for stmt in prog.statements:
-        if stmt[0] == "gate":
-            _, name, params, operands = stmt
-            circuit.add(GateKind(name), [q(r) for r in operands], params)
-        elif stmt[0] == "measure":
-            _, qref, cref = stmt
-            circuit.measure(q(qref), boffsets[cref[0]] + cref[1])
-        elif stmt[0] == "barrier":
-            circuit.barrier(*[q(r) for r in stmt[1]])
-        elif stmt[0] == "cc_x":
-            circuit.cc_x(stmt[1], q(stmt[2]))
-        elif stmt[0] == "cc_z":
-            circuit.cc_z(stmt[1], q(stmt[2]))
-    return circuit
+    def _barrier_operand(self) -> list[int]:
+        """One barrier operand: q[i] or a whole register q."""
+        name_tok, (offset, size) = self._register(self.qregs, "qreg")
+        if self._peek_text() == "[":
+            return [offset + self._index(name_tok, size)]
+        return list(range(offset, offset + size))
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse QASM text into a flat-indexed Circuit. Gate order is preserved;
-    qubit indices flatten registers in declaration order."""
-    return _to_circuit(parse_program(text))
+    qubit indices flatten registers in declaration order. Every fault,
+    including an operand list the IR rejects, is a QasmError with a line and
+    column."""
+    return _Parser(text).parse()
 
 
-_EMIT_NAMES = {
-    GateKind.X: "x", GateKind.Z: "z", GateKind.S: "s", GateKind.SDG: "sdg",
-    GateKind.T: "t", GateKind.TDG: "tdg", GateKind.H: "h",
-    GateKind.RX: "rx", GateKind.RZ: "rz", GateKind.CX: "cx", GateKind.CCX: "ccx",
-}
+_EMIT_NAMES = {kind: name for name, (kind, _) in _GATES.items()}
 
 
 def emit_qasm(circuit: Circuit) -> str:

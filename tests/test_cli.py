@@ -38,6 +38,17 @@ def test_compile_malformed_input_exit_1(tmp_path):
     assert main(["compile", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("command", ["compile", "verify"])
+@pytest.mark.parametrize("statement", ["cx q[0],q[0];", "barrier q,q[0];", "rz(1e999) q[0];"])
+def test_malformed_operands_exit_1(tmp_path, capsys, command, statement):
+    bad = tmp_path / "bad.qasm"
+    bad.write_text(f"OPENQASM 2.0;\nqreg q[2];\n{statement}\n")
+    assert main([command, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3, column 1: ")
+    assert "Traceback" not in err
+
+
 def test_compile_capacity_exhausted_exit_2(tmp_path):
     hwfile = tmp_path / "hw.yaml"
     hwfile.write_text(

@@ -17,6 +17,14 @@ def test_every_builder_has_a_bundled_file():
         assert (CORPUS_DIR / f"{name}.qasm").exists()
 
 
+def test_write_corpus_rejects_text_that_does_not_round_trip(tmp_path, monkeypatch):
+    real = corpusgen.qasm_text
+    monkeypatch.setattr(corpusgen, "qasm_text",
+                        lambda name: real("tof_4") if name == "tof_3" else real(name))
+    with pytest.raises(RuntimeError, match="tof_3"):
+        corpusgen.write_corpus(str(tmp_path))
+
+
 def test_bundled_files_match_builders():
     for name in corpusgen.BUILDERS:
         assert parse_qasm(corpus_text(name)) == corpusgen.build(name), name

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +84,65 @@ def test_custom_gate_definitions_rejected():
         parse_qasm("OPENQASM 2.0; gate foo a { h a; } qreg q[1];")
 
 
+_H = "OPENQASM 2.0;\nqreg q[2]; creg c[1];\n"
+
+# One case per QasmError raise site: (text, line, column, message).
+ERROR_SITES = {
+    "unexpected character": (_H + "h q[0]; @\n", 3, 9, "unexpected character '@'"),
+    "unexpected end of input": (_H + "  h q[0]", 3, 8, "unexpected end of input"),
+    "unexpected end, empty text": ("", 1, 1, "unexpected end of input"),
+    "expected text": (_H + "cx q[0] q[1];", 3, 9, "expected ';', found 'q'"),
+    "expected kind": (_H + "h q[x];", 3, 5, "expected int, found 'x'"),
+    "undeclared qreg": (_H + "h  r[0];", 3, 4, "undeclared qreg 'r'"),
+    "undeclared qreg in barrier": (_H + "barrier q, r;", 3, 12, "undeclared qreg 'r'"),
+    "undeclared creg in measure": (_H + "measure q[0] -> d[0];", 3, 17,
+                                   "undeclared creg 'd'"),
+    "undeclared creg in if": (_H + "if(d==1) x q[0];", 3, 4, "undeclared creg 'd'"),
+    "qubit index out of bounds": (_H + "cx q[0], q[2];", 3, 10,
+                                  "index 2 out of bounds for q[2]"),
+    "bit index out of bounds": (_H + "measure q[0] -> c[1];", 3, 17,
+                                "index 1 out of bounds for c[1]"),
+    "duplicate register": (_H + "  qreg c[3];", 3, 8, "duplicate register name 'c'"),
+    "register size": (_H + "creg d[0];", 3, 6, "register size must be >= 1"),
+    "bad version": ("\n OPENQASM 3.0;", 2, 2, "unsupported OPENQASM version 3.0"),
+    "bad include": (_H + 'include "foo.inc";', 3, 9, 'unsupported include "foo.inc"'),
+    "unsupported statement": (_H + "cy q[0],q[1];", 3, 1, "unsupported statement 'cy'"),
+    "custom gate": (_H + "gate foo a { h a; }", 3, 1,
+                    "custom gate definitions are not supported"),
+    "opaque gate": (_H + "opaque foo a;", 3, 1, "custom gate definitions are not supported"),
+    "arity": (_H + "h q[0]; cx q[0];", 3, 9, "cx expects 2 operand(s), got 1"),
+    "bad angle term": (_H + "rz(pi*q) q[0];", 3, 7, "bad angle term 'q'"),
+    "division by zero": (_H + "rx(pi/(1-1)) q[0];", 3, 6, "division by zero in angle"),
+    "non-single-bit creg": ("OPENQASM 2.0;\nqreg q[1]; creg c[2];\nif(c==1) x q[0];", 3, 4,
+                            "classical control requires a single-bit creg"),
+    "== 1 only": (_H + "if(c==0) x q[0];", 3, 7, "only `== 1` conditions are supported"),
+    "unsupported conditioned gate": (_H + "if(c==1) h q[0];", 3, 10,
+                                     "unsupported conditioned gate 'h'"),
+    # Operand lists the circuit IR rejects, reported at the statement's first token.
+    "duplicate operand": (_H + "cx q[0],q[0];", 3, 1,
+                          "duplicate qubit operand in cx: (0, 0)"),
+    "duplicate barrier operand": (_H + "barrier q,q[0];", 3, 1,
+                                  "duplicate qubit operand in barrier: (0, 1, 0)"),
+    "infinite angle": (_H + "rz(1e999) q[0];", 3, 1, "non-finite parameter in rz: inf"),
+    "nan angle": (_H + "h q[0]; rx(1e308*10-1e308*10) q[1];", 3, 9,
+                  "non-finite parameter in rx: nan"),
+}
+
+
+@pytest.mark.parametrize("text,line,col,message", ERROR_SITES.values(), ids=ERROR_SITES.keys())
+def test_error_position(text, line, col, message):
+    with pytest.raises(QasmError) as err:
+        parse_qasm(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+
+
+def test_bad_character_reported_before_earlier_syntax_error():
+    with pytest.raises(QasmError) as err:
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0] q[0];\n// ok @\nh q[0]; $")
+    assert str(err.value) == "line 5, column 9: unexpected character '$'"
+
+
 def test_emit_simple():
     c = Circuit(1).h(0)
     assert "h q[0];" in emit_qasm(c)
@@ -145,3 +205,22 @@ def random_circuits(draw):
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_random_circuits(c):
     assert parse_qasm(emit_qasm(c)) == c
+
+
+# Tokens of emitted text; the separators below go between them.
+_EMITTED_TOKEN = re.compile(r'\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+|\w+|"[^"]*"|==|->|\S')
+_SEPARATORS = [" ", "\n", "\t", "  \n ", "// c\n", " // cx q[0]; @\n", "\r\n//\n\n"]
+
+
+@given(random_circuits(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_whitespace_and_comments_between_tokens(c, data):
+    tokens = _EMITTED_TOKEN.findall(emit_qasm(c))
+    seps = data.draw(st.lists(st.sampled_from(_SEPARATORS),
+                              min_size=len(tokens), max_size=len(tokens)))
+    assert parse_qasm("".join(t + sep for t, sep in zip(tokens, seps))) == c
+
+
+def test_comment_inside_statement():
+    c = parse_qasm("OPENQASM 2.0; qreg q[2]; cx q[0], // c\n q[1]; rz(pi // half\n /2) q[0];")
+    assert c == Circuit(2).cx(0, 1).rz(0, math.pi / 2)
