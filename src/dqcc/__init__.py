@@ -15,8 +15,7 @@ from .graphs import (InteractionGraph, PartitionVector, association_ratio,
                      laplacian_eigenvalues)
 from .partition import SizeSpec, cut_cost, exact_min_cut, kl_refine, spectral_partition
 from .hardware import Assignment, HardwareSpec, Link, QPU, default_hardware, load_hardware_spec
-from .mapper import (CapacityError, MappedProgram, global_assign, local_optimize,
-                     make_windows)
+from .mapper import CapacityError, MappedProgram, global_assign, local_optimize
 from .gadgets import (ExpandedProgram, epr_prepare, expand_program,
                       expand_remote_cnot, expand_teleport)
 from .sim import BranchState, SimulationError, equivalent, equivalence_report, simulate
@@ -33,7 +32,6 @@ __all__ = [
     "SizeSpec", "cut_cost", "exact_min_cut", "kl_refine", "spectral_partition",
     "Assignment", "HardwareSpec", "Link", "QPU", "default_hardware", "load_hardware_spec",
     "CapacityError", "MappedProgram", "global_assign", "local_optimize",
-    "make_windows",
     "ExpandedProgram", "epr_prepare", "expand_program",
     "expand_remote_cnot", "expand_teleport",
     "BranchState", "SimulationError", "equivalent", "equivalence_report", "simulate",

@@ -23,20 +23,6 @@ class GateKind(str, Enum):
     BARRIER = "barrier"
     CC_X = "cc_x"
     CC_Z = "cc_z"
-    # Marker kinds: appear only in mapped-program annotations, never in
-    # executable circuits handed to the simulator or emitter.
-    EPR_PREP = "epr_prepare"
-    TELEPORT = "teleport"
-    REMOTE_CX = "remote_cx"
-
-
-MARKER_KINDS = frozenset({GateKind.EPR_PREP, GateKind.TELEPORT, GateKind.REMOTE_CX})
-
-# Gates whose uses count toward the two-qubit metric. epr_prepare is excluded:
-# it models the interconnect itself and is accounted in the EPR ledger.
-_TWO_QUBIT_KINDS = frozenset({GateKind.CX, GateKind.REMOTE_CX})
-
-_PARAM_KINDS = frozenset({GateKind.RX, GateKind.RZ})
 
 
 class CircuitError(ValueError):
@@ -253,18 +239,12 @@ def decompose_to_basis(circuit: Circuit) -> Circuit:
 
 
 def count_two_qubit(circuit: Circuit) -> int:
-    """Total two-qubit operations: cx, plus teleport and remote-cx markers
-    (one each) when present in an annotated circuit."""
-    n = 0
-    for g in circuit.gates:
-        if g.kind in _TWO_QUBIT_KINDS or g.kind == GateKind.TELEPORT:
-            n += 1
-    return n
+    """Total two-qubit operations: the cx gates."""
+    return sum(1 for g in circuit.gates if g.kind == GateKind.CX)
 
 
 def count_inter_qpu(circuit: Circuit, qpu_of: Sequence[int] | Mapping[int, int]) -> int:
-    """Two-qubit operations whose operands resolve to different QPUs, plus
-    teleport markers (inter-QPU by construction)."""
+    """cx gates whose operands resolve to different QPUs."""
     def lookup(q: int) -> int:
         v = qpu_of[q]
         if v is None:
@@ -273,9 +253,7 @@ def count_inter_qpu(circuit: Circuit, qpu_of: Sequence[int] | Mapping[int, int])
 
     n = 0
     for g in circuit.gates:
-        if g.kind == GateKind.TELEPORT:
-            n += 1
-        elif g.kind in _TWO_QUBIT_KINDS:
+        if g.kind == GateKind.CX:
             a, b = g.qubits
             if lookup(a) != lookup(b):
                 n += 1

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,37 +27,42 @@ EXIT_CAPACITY = 2
 EXIT_NOT_EQUIVALENT = 3
 
 
-def _load_hw(args, num_qubits: int):
-    if args.hardware:
-        return load_hardware_spec(args.hardware)
-    return default_hardware(num_qubits)
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
-def cmd_compile(args) -> int:
+def _fail(message, code: int = EXIT_INPUT) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _compile_input(args):
+    """Parse args.input, load its hardware and compile it. Returns the
+    CompileResult, or the exit code after printing the error."""
     try:
         circuit = parse_qasm(_read(args.input))
-        hw = _load_hw(args, circuit.num_qubits)
+        hw = (load_hardware_spec(args.hardware) if args.hardware
+              else default_hardware(circuit.num_qubits))
     except (QasmError, HardwareError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(exc)
     screen = hardware_suitability(hw)
     if not screen.suitable:
         print(f"warning: hardware topology is weakly clustered "
               f"(lambda_{len(hw.qpus)}={screen.lambda_k:.3f} > {screen.threshold})",
               file=sys.stderr)
     try:
-        result = compile_circuit(circuit, hw, args.dt, args.seed)
+        return compile_circuit(circuit, hw, args.dt, args.seed)
     except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return _fail(exc, EXIT_CAPACITY)
     except (GadgetError, NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(exc)
+
+
+def cmd_compile(args) -> int:
+    result = _compile_input(args)
+    if isinstance(result, int):
+        return result
     record = {"name": Path(args.input).stem, **result.record}
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -73,18 +79,18 @@ def cmd_compile(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        return _fail(f"--repeats must be at least 1, got {args.repeats}")
     corpus = sorted(Path(args.corpus).glob("*.qasm"))
     if not corpus:
-        print(f"error: no .qasm files in {args.corpus}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(f"no .qasm files in {args.corpus}")
     seeds = [args.seed + i for i in range(args.repeats)]
     hw = None
     if args.hardware:
         try:
             hw = load_hardware_spec(args.hardware)
         except (HardwareError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            return _fail(exc)
     aggregates, flat = [], []
     failures = 0
     for path in corpus:
@@ -116,33 +122,20 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        circuit = parse_qasm(_read(args.input))
-        hw = _load_hw(args, circuit.num_qubits)
-    except (QasmError, HardwareError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if circuit.num_qubits > 10:
-        print(f"error: verify is limited to 10 data qubits, got {circuit.num_qubits}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        result = compile_circuit(circuit, hw, args.dt, args.seed)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (GadgetError, NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = _compile_input(args)
+    if isinstance(result, int):
+        return result
+    data = range(result.circuit.num_qubits)
+    if len(data) > 10:
+        return _fail(f"verify is limited to 10 data qubits, got {len(data)}")
     exp = result.expanded
     try:
         report = equivalence_report(
             result.decomposed, exp.circuit, tol=args.tol,
-            candidate_in_wires=[exp.in_wires[q] for q in range(circuit.num_qubits)],
-            candidate_out_wires=[exp.out_wires[q] for q in range(circuit.num_qubits)])
+            candidate_in_wires=[exp.in_wires[q] for q in data],
+            candidate_out_wires=[exp.out_wires[q] for q in data])
     except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(exc)
     if not report.equivalent:
         print(f"NOT EQUIVALENT: input state #{report.failing_input}, "
               f"branch bits {report.failing_bits}: {report.detail}", file=sys.stderr)
@@ -190,6 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0):
+        return _fail(f"--dt must be a positive finite number, got {args.dt}")
     return args.func(args)
 
 

@@ -6,7 +6,7 @@ interconnect itself and is charged to the EPR ledger).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, GateKind
 from .hardware import HardwareSpec
@@ -81,31 +81,16 @@ class ExpandedProgram:
     in_wires: dict[int, int]
     out_wires: dict[int, int]
     epr_events: int
-    epr_per_window: list[int] = field(default_factory=list)
 
 
-def expand_program(mp: MappedProgram, hw: HardwareSpec,
-                   throttle: bool = False) -> ExpandedProgram:
+def expand_program(mp: MappedProgram, hw: HardwareSpec) -> ExpandedProgram:
     """Lower a mapped program onto physical wires, expanding every remote cx
     and teleport into its LOCC gadget. Classical bits for gadget measurements
-    are allocated after the program's own bits.
-
-    With `throttle` set, a window whose EPR consumption exceeds what the
-    interconnect can generate in one window raises instead of expanding.
-    """
+    are allocated after the program's own bits."""
     circuit = mp.circuit
-    if throttle:
-        bad = mp.throttle_violations()
-        if bad:
-            budget = mp.epr_budget_per_window()
-            raise GadgetError(
-                f"window {bad[0]} consumes {mp.epr_per_window[bad[0]]} EPR pairs, "
-                f"budget is {budget}")
-
     out = Circuit(hw.total_wires, circuit.num_bits)
     next_bit = circuit.num_bits
     epr_events = 0
-    epr_per_window: list[int] = []
 
     placement = dict(mp.initial.placement)
     in_wires = {q: hw.data_wire(*placement[q]) for q in placement}
@@ -127,7 +112,6 @@ def expand_program(mp: MappedProgram, hw: HardwareSpec,
     remote = {i for w in mp.windows for i in w.remote_gates}
 
     for w in mp.windows:
-        window_epr = 0
         migs = list(w.migrations)
         while migs:
             mig = migs.pop(0)
@@ -137,7 +121,6 @@ def expand_program(mp: MappedProgram, hw: HardwareSpec,
                 placement[mig.qubit] = mig.dst
                 placement[partner.qubit] = partner.dst
                 epr_events += 2
-                window_epr += 2
             else:
                 src_qpu, _ = mig.src
                 dst_qpu, _ = mig.dst
@@ -150,7 +133,6 @@ def expand_program(mp: MappedProgram, hw: HardwareSpec,
                     out.append(g)
                 placement[mig.qubit] = mig.dst
                 epr_events += 1
-                window_epr += 1
         wires = {q: hw.data_wire(*placement[q]) for q in placement}
         for i in w.gate_indices:
             gate = circuit.gates[i]
@@ -163,14 +145,12 @@ def expand_program(mp: MappedProgram, hw: HardwareSpec,
                 for g in expand_remote_cnot(wires[c], wires[t], (e1, e2), fresh_bits()):
                     out.append(g)
                 epr_events += 1
-                window_epr += 1
             else:
                 out.append(Gate(gate.kind, tuple(wires[q] for q in gate.qubits),
                                 gate.params, gate.bits))
-        epr_per_window.append(window_epr)
 
     out_wires = {q: hw.data_wire(*placement[q]) for q in placement}
-    return ExpandedProgram(out, in_wires, out_wires, epr_events, epr_per_window)
+    return ExpandedProgram(out, in_wires, out_wires, epr_events)
 
 
 def _expand_exchange(out: Circuit, hw: HardwareSpec, mig_q, mig_r, fresh_bits) -> None:

@@ -78,16 +78,6 @@ def global_assign(circuit: Circuit, hw: HardwareSpec, seed: int = 0) -> Assignme
     return assignment
 
 
-def make_windows(sched: ScheduledCircuit, dt: float) -> list[tuple[float, float]]:
-    """Disjoint intervals [i*dt, (i+1)*dt) covering every gate start time."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not sched.circuit.gates:
-        return []
-    count = int(sched.max_start // dt) + 1
-    return [(i * dt, (i + 1) * dt) for i in range(count)]
-
-
 def _move_gain(wadj: np.ndarray, qpus: dict[int, int], q: int, dst: int) -> float:
     """Remote gates saved minus remote gates created if q alone moves to dst."""
     gain = 0.0
@@ -111,16 +101,9 @@ class Migration:
 
 @dataclass
 class WindowPlan:
-    interval: tuple[float, float]
     migrations: list[Migration]
     gate_indices: list[int]
     remote_gates: list[int]
-    placement: dict[int, tuple[int, int]]
-    inherited_remote: int
-
-    @property
-    def epr_used(self) -> int:
-        return len(self.remote_gates) + len(self.migrations)
 
 
 @dataclass
@@ -147,7 +130,7 @@ class MappedProgram:
 
     @property
     def epr_per_window(self) -> list[int]:
-        return [w.epr_used for w in self.windows]
+        return [len(w.remote_gates) + len(w.migrations) for w in self.windows]
 
     def epr_budget_per_window(self) -> int:
         channels = sum(l.channels for l in self.hw.links)
@@ -184,19 +167,22 @@ def local_optimize(sched: ScheduledCircuit, hw: HardwareSpec, init: Assignment,
         raise NotImplementedError(
             "the windowed local pass targets two-QPU hardware; k-way global "
             "assignment is available but not window-optimized")
-    windows = make_windows(sched, dt)
+    buckets = _bucket_gates(sched, dt)
     rng = random.Random(seed ^ 0x5EED)
 
-    plan = _windowed_plan(sched, hw, init, dt, windows, rng)
-    static = _static_plan(sched, hw, init, dt, windows)
+    plan = _windowed_plan(sched, hw, init, dt, buckets, rng)
+    static = _static_plan(sched, hw, init, dt, buckets)
     return plan if plan.inter_qpu_total <= static.inter_qpu_total else static
 
 
-def _bucket_gates(sched: ScheduledCircuit, windows) -> list[list[int]]:
-    buckets = [[] for _ in windows]
-    if not windows:
-        return buckets
-    dt = windows[0][1] - windows[0][0]
+def _bucket_gates(sched: ScheduledCircuit, dt: float) -> list[list[int]]:
+    """The windows of the local pass: window k holds the indices of the gates
+    starting in [k*dt, (k+1)*dt), up to the one holding the last start."""
+    if not dt > 0:  # also refuses nan
+        raise ValueError("dt must be positive")
+    if not sched.circuit.gates:
+        return []
+    buckets = [[] for _ in range(int(sched.max_start // dt) + 1)]
     for i, t in enumerate(sched.start_times):
         buckets[int(t // dt)].append(i)
     return buckets
@@ -211,42 +197,35 @@ def _remote_indices(circuit: Circuit, indices, qpus: dict[int, int]) -> list[int
     return out
 
 
-def _static_plan(sched, hw, init, dt, windows) -> MappedProgram:
+def _static_plan(sched, hw, init, dt, buckets) -> MappedProgram:
     circuit = sched.circuit
     qpus = init.qpu_map()
-    buckets = _bucket_gates(sched, windows)
-    plans = []
-    for interval, indices in zip(windows, buckets):
-        remote = _remote_indices(circuit, indices, qpus)
-        plans.append(WindowPlan(interval, [], indices, remote,
-                                dict(init.placement), len(remote)))
+    plans = [WindowPlan([], indices, _remote_indices(circuit, indices, qpus))
+             for indices in buckets]
     return MappedProgram(circuit, hw, dt, plans, init.copy(), init.copy(),
                          local_plan="static")
 
 
-def _windowed_plan(sched, hw, init, dt, windows, rng) -> MappedProgram:
+def _windowed_plan(sched, hw, init, dt, buckets, rng) -> MappedProgram:
     circuit = sched.circuit
     assignment = init.copy()
-    buckets = _bucket_gates(sched, windows)
     caps = tuple(q.data_capacity for q in hw.qpus)
     plans: list[WindowPlan] = []
 
-    for interval, indices in zip(windows, buckets):
+    for indices in buckets:
         wadj = interaction_graph(circuit, indices).weights
         active = sorted({q for i in indices
                          for q in circuit.gates[i].qubits
                          if circuit.gates[i].kind != GateKind.BARRIER})
         cur = assignment.qpu_map()
-        inherited = len(_remote_indices(circuit, indices, cur))
         migrations: list[Migration] = []
 
         if active and any(wadj[q].any() for q in active):
             proposal = _window_proposal(wadj, active, cur, caps)
             migrations = _greedy_migrations(wadj, active, proposal, assignment, cur, rng)
 
-        remote = _remote_indices(circuit, indices, cur)
-        plans.append(WindowPlan(interval, migrations, indices, remote,
-                                dict(assignment.placement), inherited))
+        plans.append(WindowPlan(migrations, indices,
+                                _remote_indices(circuit, indices, cur)))
 
     return MappedProgram(circuit, hw, dt, plans, init.copy(), assignment.copy())
 

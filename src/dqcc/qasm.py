@@ -46,6 +46,10 @@ _GATES = {  # name -> (kind, operand count)
 }
 _PARAM_GATES = {"rx", "rz"}
 
+# Deepest run of open '(' and unary '-' an angle may nest; each level is a
+# parser recursion, so this keeps a hostile angle off Python's stack limit.
+MAX_ANGLE_NESTING = 100
+
 
 class _Parser:
     """Tokenizes the whole text, then reads the tokens once, appending
@@ -65,6 +69,7 @@ class _Parser:
         self.num_qubits = 0
         self.num_bits = 0
         self.gates: list[Gate] = []
+        self.nesting = 0
 
     def _error(self, message: str, tok: _Tok) -> QasmError:
         """A QasmError at tok; line and column are worked out from its offset."""
@@ -123,11 +128,17 @@ class _Parser:
     def _factor(self) -> float:
         tok = self._next()
         kind, text, _ = tok
-        if text == "-":
-            return -self._factor()
-        if text == "(":
-            value = self._expr()
-            self._expect(")")
+        if text in ("-", "("):
+            if self.nesting == MAX_ANGLE_NESTING:
+                raise self._error(
+                    f"angle nested deeper than {MAX_ANGLE_NESTING} levels", tok)
+            self.nesting += 1
+            if text == "-":
+                value = -self._factor()
+            else:
+                value = self._expr()
+                self._expect(")")
+            self.nesting -= 1
             return value
         if kind in ("real", "int"):
             return float(text)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, MARKER_KINDS
+from .circuits import Circuit, Gate, GateKind
 
 MAX_QUBITS = 14
 PRUNE_TOL = 1e-12
@@ -204,9 +204,6 @@ class _Runner:
         if circuit.num_qubits > MAX_QUBITS:
             raise SimulationError(
                 f"{circuit.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
-        for g in circuit.gates:
-            if g.kind in MARKER_KINDS:
-                raise SimulationError(f"cannot simulate marker gate {g.kind.value}")
         self.circuit = circuit
         self.n = circuit.num_qubits
         self.merge = merge
@@ -441,7 +438,9 @@ def equivalence_report(reference: Circuit, candidate: Circuit,
     """Check that every measurement branch of `candidate` acts on the data
     qubits like `reference` does, up to global phase, over the fixed spanning
     input set. `candidate` may use extra ancilla wires and classical bits;
-    ancillas must start and end in |0>."""
+    ancillas must start and end in |0>. `tol` must lie in [0, 1)."""
+    if not 0 <= tol < 1:
+        raise SimulationError(f"tol must lie in [0, 1), got {tol}")
     data = list(data_qubits) if data_qubits is not None else list(range(reference.num_qubits))
     k = len(data)
     c_in = list(candidate_in_wires) if candidate_in_wires is not None else list(data)

@@ -72,13 +72,6 @@ def test_single_qubit_lowerings_up_to_phase(kind, ref):
     assert same_up_to_phase(ref.astype(complex), unitary_of(out))
 
 
-def test_decompose_rejects_markers():
-    c = Circuit(2)
-    c.add(GateKind.REMOTE_CX, (0, 1))
-    with pytest.raises(CircuitError):
-        decompose_to_basis(c)
-
-
 def test_decompose_preserves_semantics_on_small_corpus():
     for name in ("tof_3", "mod5_4", "qft_4"):
         parsed = parse_qasm(corpus_text(name))
@@ -165,14 +158,6 @@ def test_count_two_qubit_after_ccx_decomposition():
     assert count_two_qubit(decompose_to_basis(Circuit(3).ccx(0, 1, 2))) == 6
 
 
-def test_count_two_qubit_includes_markers_once():
-    c = Circuit(3)
-    c.add(GateKind.REMOTE_CX, (0, 1))
-    c.add(GateKind.TELEPORT, (2,))
-    c.cx(0, 2)
-    assert count_two_qubit(c) == 3
-
-
 def test_count_inter_qpu_gf24_trivial_is_64():
     c = parse_qasm(corpus_text("gf2_4_mult"))
     qpus = [0] * 6 + [1] * 6
@@ -190,12 +175,6 @@ def test_count_inter_qpu_adder8_trivial_matches_recorded():
 def test_count_inter_qpu_single_qpu_is_zero():
     c = parse_qasm(corpus_text("gf2_4_mult"))
     assert count_inter_qpu(c, [0] * 12) == 0
-
-
-def test_count_inter_qpu_counts_teleports_unconditionally():
-    c = Circuit(2)
-    c.add(GateKind.TELEPORT, (0,))
-    assert count_inter_qpu(c, [0, 0]) == 1
 
 
 def test_unassigned_qubit_raises():

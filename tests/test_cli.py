@@ -49,6 +49,33 @@ def test_malformed_operands_exit_1(tmp_path, capsys, command, statement):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compile", "TOF3", "--dt", "0"],
+    ["compile", "TOF3", "--dt", "-5"],
+    ["compile", "TOF3", "--dt", "nan"],
+    ["verify", "TOF3", "--dt", "0"],
+    ["verify", "TOF3", "--dt", "inf"],
+    ["verify", "TOF3", "--tol", "nan"],
+    ["bench", "CORPUS", "--dt", "-5"],
+    ["bench", "CORPUS", "--repeats", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_numeric_options_exit_1(capsys, argv):
+    paths = {"TOF3": str(CORPUS_DIR / "tof_3.qasm"), "CORPUS": str(CORPUS_DIR)}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("angle", ["(" * 400 + "1" + ")" * 400, "-" * 2000 + "1"],
+                         ids=["parentheses", "unary-minus"])
+def test_deeply_nested_angle_exit_1(tmp_path, capsys, angle):
+    f = tmp_path / "deep.qasm"
+    f.write_text(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+    assert main(["compile", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3, column 104: ")
+
+
 def test_compile_capacity_exhausted_exit_2(tmp_path):
     hwfile = tmp_path / "hw.yaml"
     hwfile.write_text(

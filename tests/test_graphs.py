@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dqcc import (Circuit, DurationModel, InteractionGraph, PartitionVector,
                   association_ratio, cheeger_screen, conductance,
-                  interaction_graph, laplacian_eigenvalues, make_windows,
+                  interaction_graph, laplacian_eigenvalues,
                   parse_qasm, schedule_asap)
 from dqcc.graphs import GraphError, circuit_graph
 from dqcc.mapper import _bucket_gates
@@ -83,9 +83,8 @@ def test_window_excludes_late_gates():
     c.cx(0, 1)
     sched = schedule_asap(c, DurationModel())
     assert sched.start_times[-1] >= 300
-    windows = make_windows(sched, 200.0)
     early, late = (interaction_graph(c, bucket)
-                   for bucket in _bucket_gates(sched, windows)[:2])
+                   for bucket in _bucket_gates(sched, 200.0)[:2])
     assert early.weights[0, 1] == 1
     assert late.weights[0, 1] == 1
 

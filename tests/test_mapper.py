@@ -3,11 +3,11 @@ import pytest
 
 from dqcc import (Circuit, DurationModel, corpusgen, count_inter_qpu,
                   decompose_to_basis, default_hardware, global_assign,
-                  local_optimize, make_windows, parse_qasm, schedule_asap)
+                  local_optimize, parse_qasm, schedule_asap)
 from dqcc.bench import compile_circuit
 from dqcc.circuits import GateKind
 from dqcc.hardware import HardwareSpec, Link, QPU
-from dqcc.mapper import CapacityError, _move_gain
+from dqcc.mapper import CapacityError, _bucket_gates, _move_gain
 
 from conftest import corpus_text
 
@@ -65,32 +65,41 @@ def test_global_assign_slots_valid_and_seeded():
     assert a0.placement != a2.placement  # the seed draws the slots
 
 
-# -- make_windows ------------------------------------------------------------
+# -- _bucket_gates -----------------------------------------------------------
 
 def test_windows_cover_makespan():
     c = Circuit(1)
     for _ in range(450):
         c.rz(0, 0.1)
     sched = schedule_asap(c, DurationModel())
-    assert make_windows(sched, 200.0) == [(0.0, 200.0), (200.0, 400.0), (400.0, 600.0)]
+    assert [len(b) for b in _bucket_gates(sched, 200.0)] == [200, 200, 50]
 
 
 def test_windows_empty_circuit():
     sched = schedule_asap(Circuit(3))
-    assert make_windows(sched, 200.0) == []
+    assert _bucket_gates(sched, 200.0) == []
 
 
 def test_windows_single_when_dt_covers_makespan():
     sched = schedule_asap(Circuit(2).cx(0, 1).cx(0, 1))
-    assert len(make_windows(sched, 1000.0)) == 1
+    assert _bucket_gates(sched, 1000.0) == [[0, 1]]
 
 
 def test_every_gate_in_exactly_one_window():
     sched = schedule_asap(decompose_to_basis(parse_qasm(corpus_text("gf2_4_mult"))))
-    windows = make_windows(sched, 50.0)
-    for t in sched.start_times:
-        hits = [w for w in windows if w[0] <= t < w[1]]
-        assert len(hits) == 1
+    dt = 50.0
+    buckets = _bucket_gates(sched, dt)
+    assert sorted(i for b in buckets for i in b) == list(range(len(sched.start_times)))
+    for k, bucket in enumerate(buckets):
+        for i in bucket:
+            assert k * dt <= sched.start_times[i] < (k + 1) * dt
+
+
+def test_windows_reject_non_positive_dt():
+    sched = schedule_asap(Circuit(1).h(0))
+    for dt in (0.0, -5.0, float("nan")):
+        with pytest.raises(ValueError):
+            _bucket_gates(sched, dt)
 
 
 # -- _move_gain --------------------------------------------------------------
@@ -161,14 +170,29 @@ def test_one_remote_gate_qubit_not_migrated():
     assert mp.remote_count == 1
 
 
+def _window_qpus(mp):
+    """Per window, the QPU maps before and after its migrations, replayed
+    from the initial assignment."""
+    placement = dict(mp.initial.placement)
+    for w in mp.windows:
+        before = {q: p for q, (p, _) in placement.items()}
+        for mig in w.migrations:
+            placement[mig.qubit] = mig.dst
+        yield w, before, {q: p for q, (p, _) in placement.items()}
+
+
+def _spanning(c, indices, qpus):
+    return [i for i in indices if c.gates[i].kind == GateKind.CX
+            and qpus[c.gates[i].qubits[0]] != qpus[c.gates[i].qubits[1]]]
+
+
 def test_local_tags_are_consistent_with_window_placements():
     c = decompose_to_basis(parse_qasm(corpus_text("gf2_6_mult")))
     hw = default_hardware(18)
     sched = schedule_asap(c, hw.durations)
     init = global_assign(c, hw, 0)
     mp = local_optimize(sched, hw, init, 200.0, 0)
-    for w in mp.windows:
-        qpus = {q: p for q, (p, _) in w.placement.items()}
+    for w, _, qpus in _window_qpus(mp):
         for i in w.gate_indices:
             g = c.gates[i]
             if g.kind != GateKind.CX:
@@ -184,8 +208,9 @@ def test_windows_never_worse_than_inherited():
         sched = schedule_asap(c, hw.durations)
         init = global_assign(c, hw, 0)
         mp = local_optimize(sched, hw, init, 200.0, 0)
-        for w in mp.windows:
-            assert len(w.remote_gates) + len(w.migrations) <= w.inherited_remote
+        for w, inherited, _ in _window_qpus(mp):
+            assert (len(w.remote_gates) + len(w.migrations)
+                    <= len(_spanning(c, w.gate_indices, inherited)))
 
 
 def test_local_never_worse_than_global():
@@ -216,12 +241,13 @@ def test_assignments_thread_through_windows():
     sched = schedule_asap(c, hw.durations)
     init = global_assign(c, hw, 0)
     mp = local_optimize(sched, hw, init, 200.0, 0)
-    placement = dict(init.placement)
+    placement = dict(mp.initial.placement)
+    assert placement == init.placement
     for w in mp.windows:
         for mig in w.migrations:
             assert placement[mig.qubit] == mig.src
             placement[mig.qubit] = mig.dst
-        assert placement == w.placement
+        assert len(set(placement.values())) == len(placement)  # no shared slot
     assert placement == mp.final.placement
 
 

@@ -126,6 +126,11 @@ ERROR_SITES = {
     "infinite angle": (_H + "rz(1e999) q[0];", 3, 1, "non-finite parameter in rz: inf"),
     "nan angle": (_H + "h q[0]; rx(1e308*10-1e308*10) q[1];", 3, 9,
                   "non-finite parameter in rx: nan"),
+    # The 101st nesting level is refused; the gate's own '(' does not count.
+    "nested parentheses": (_H + "rz(" + "(" * 400 + "1" + ")" * 400 + ") q[0];", 3, 104,
+                           "angle nested deeper than 100 levels"),
+    "nested unary minus": (_H + "rz(" + "-" * 2000 + "1) q[0];", 3, 104,
+                           "angle nested deeper than 100 levels"),
 }
 
 
@@ -135,6 +140,12 @@ def test_error_position(text, line, col, message):
         parse_qasm(text)
     assert (err.value.line, err.value.col) == (line, col)
     assert str(err.value) == f"line {line}, column {col}: {message}"
+
+
+def test_angle_nesting_limit_is_reached_not_passed():
+    angle = "-(" * 50 + "pi" + ")" * 50
+    c = parse_qasm(_H + f"rz({angle}) q[0];")
+    assert c.gates[0].params == (math.pi,)
 
 
 def test_bad_character_reported_before_earlier_syntax_error():
@@ -155,13 +166,6 @@ def test_emit_conditioned_gate_roundtrip():
     text = emit_qasm(c)
     assert "if(b0==1) x q[1];" in text
     assert parse_qasm(text) == c
-
-
-def test_emit_rejects_markers():
-    c = Circuit(2)
-    c.add(GateKind.TELEPORT, (0,))
-    with pytest.raises(QasmError):
-        emit_qasm(c)
 
 
 def test_roundtrip_barenco_file():

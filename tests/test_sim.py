@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqcc import Circuit, GateKind, equivalent, simulate, sim
+from dqcc import Circuit, equivalent, simulate, sim
 from dqcc.gadgets import epr_prepare, expand_remote_cnot, expand_teleport
 from dqcc.sim import (SimulationError, _Runner, _column_blocks, _view, _embed_columns,
                       equivalence_report, spanning_inputs, trim_idle_wires)
@@ -68,6 +68,12 @@ def test_equivalent_cx_vs_identity_false():
     assert not equivalent(Circuit(2).cx(0, 1), Circuit(2))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 1.0])
+def test_tolerance_outside_unit_interval_rejected(tol):
+    with pytest.raises(SimulationError, match="tol must lie in"):
+        equivalence_report(Circuit(2).cx(0, 1), Circuit(2), tol=tol)
+
+
 def test_equivalent_detects_phase_errors():
     # identical on basis states, different on superpositions
     cand = Circuit(2).cx(0, 1).rz(0, 0.3)
@@ -113,13 +119,6 @@ def test_simulate_permutation_covariant(perm, basis):
 def test_qubit_cap_enforced():
     with pytest.raises(SimulationError):
         simulate(Circuit(15))
-
-
-def test_marker_gates_rejected():
-    c = Circuit(2)
-    c.add(GateKind.REMOTE_CX, (0, 1))
-    with pytest.raises(SimulationError):
-        simulate(c)
 
 
 def test_simulator_agrees_with_kron_oracle():
