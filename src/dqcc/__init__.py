@@ -1,8 +1,8 @@
 """dqcc: compiler mapping quantum circuits onto interconnected QPU clusters.
 
 Pipeline: parse OpenQASM 2.0, lower to the {rx, rz, h, cx} native set, ASAP
-schedule, assign qubits to QPUs by cardinality-constrained min-cut over the
-circuit's interaction graph, re-optimize over rolling time windows with
+schedule, assign qubits to the two QPUs by cardinality-constrained minimum
+bisection of the circuit's interaction graph, re-optimize over rolling time windows with
 teleport migrations, then expand remote operations into EPR-mediated LOCC
 gadgets whose semantics a branch-enumerating statevector oracle can verify.
 """

@@ -156,7 +156,7 @@ def bench_circuit(name: str, text: str, hw: HardwareSpec | None,
     for seed in seeds:
         try:
             result = compile_circuit(circuit, hw, dt, seed)
-        except (CapacityError, GadgetError, HardwareError, NotImplementedError) as exc:
+        except (CapacityError, GadgetError, HardwareError) as exc:
             rec.error = f"compile error: {exc}"
             return rec
         entry = {"name": name, **result.record}

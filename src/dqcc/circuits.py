@@ -103,8 +103,8 @@ class DurationModel:
 
     def __post_init__(self):
         for name in ("rx", "rz", "h", "cx", "measure", "epr_generation_period"):
-            if getattr(self, name) <= 0:
-                raise CircuitError(f"duration {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # also refuses nan
+                raise CircuitError(f"duration {name} must be positive and finite")
 
     def duration(self, kind: GateKind) -> float:
         if kind in (GateKind.RX, GateKind.X, GateKind.CC_X):

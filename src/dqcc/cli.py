@@ -55,7 +55,7 @@ def _compile_input(args):
         return compile_circuit(circuit, hw, args.dt, args.seed)
     except CapacityError as exc:
         return _fail(exc, EXIT_CAPACITY)
-    except (GadgetError, NotImplementedError) as exc:
+    except GadgetError as exc:
         return _fail(exc)
 
 

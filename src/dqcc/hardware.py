@@ -48,6 +48,9 @@ class HardwareSpec:
     durations: DurationModel = field(default_factory=DurationModel)
 
     def __post_init__(self):
+        if len(self.qpus) != 2:
+            raise HardwareError(
+                f"dqcc compiles for exactly two QPUs, the spec has {len(self.qpus)}")
         ids = [q.id for q in self.qpus]
         if len(set(ids)) != len(ids):
             raise HardwareError("duplicate QPU ids")
@@ -138,26 +141,36 @@ def default_hardware(num_qubits: int, epr_slots: int = 2, channels: int = 2,
 
 def load_hardware_spec(path: str) -> HardwareSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise HardwareError(f"{path} is not valid YAML: {exc}") from exc
     return hardware_from_dict(doc)
 
 
 def hardware_from_dict(doc: dict) -> HardwareSpec:
     if not isinstance(doc, dict) or "qpus" not in doc:
         raise HardwareError("hardware spec must define qpus[]")
-    qpus = [QPU(str(q["id"]), int(q["data_capacity"]), int(q.get("epr_slots", 2)))
-            for q in doc["qpus"]]
-    links = [Link(str(l["qpu_a"]), str(l["qpu_b"]), int(l.get("channels", 1)))
-             for l in doc.get("links", [])]
-    dur = doc.get("durations", {})
-    model = DurationModel(
-        rx=float(dur.get("rx", 1.0)),
-        rz=float(dur.get("rz", 1.0)),
-        h=float(dur.get("h", 1.0)),
-        cx=float(dur.get("cx", 2.0)),
-        measure=float(dur.get("measure", 5.0)),
-        epr_generation_period=float(dur.get("epr_period", 200.0)),
-    )
+    try:
+        qpus = [QPU(str(q["id"]), int(q["data_capacity"]), int(q.get("epr_slots", 2)))
+                for q in doc["qpus"]]
+        links = [Link(str(l["qpu_a"]), str(l["qpu_b"]), int(l.get("channels", 1)))
+                 for l in doc.get("links", [])]
+        dur = doc.get("durations", {})
+        model = DurationModel(
+            rx=float(dur.get("rx", 1.0)),
+            rz=float(dur.get("rz", 1.0)),
+            h=float(dur.get("h", 1.0)),
+            cx=float(dur.get("cx", 2.0)),
+            measure=float(dur.get("measure", 5.0)),
+            epr_generation_period=float(dur.get("epr_period", 200.0)),
+        )
+    except HardwareError:
+        raise
+    except KeyError as exc:
+        raise HardwareError(f"hardware spec entry lacks the key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise HardwareError(f"malformed hardware spec: {exc}") from exc
     return HardwareSpec(qpus, links, model)
 
 

@@ -39,23 +39,15 @@ def _refined(graph: InteractionGraph, spec: SizeSpec,
     return best
 
 
-def _trivial_partition(n: int, sizes: tuple[int, ...]) -> PartitionVector:
-    labels = np.zeros(n, dtype=int)
-    cluster, used = 0, 0
-    for v in range(n):
-        while used >= sizes[cluster]:
-            cluster += 1
-            used = 0
-        labels[v] = cluster
-        used += 1
-    return PartitionVector(labels, len(sizes))
+def _trivial_partition(n: int, sizes: tuple[int, int]) -> PartitionVector:
+    return PartitionVector(np.arange(n) >= sizes[0], 2)
 
 
 def global_assign(circuit: Circuit, hw: HardwareSpec, seed: int = 0) -> Assignment:
-    """Partition the full-circuit interaction graph across QPUs (spectral +
-    Kernighan-Lin, with the identity split as a second refinement start so the
-    result never loses to the trivial map), then give each qubit a
-    seeded-random slot inside its QPU."""
+    """Bisect the full-circuit interaction graph between the two QPUs
+    (spectral + Kernighan-Lin, with the identity split as a second refinement
+    start so the result never loses to the trivial map), then give each qubit
+    a seeded-random slot inside its QPU."""
     n = circuit.num_qubits
     if n > hw.total_data_capacity:
         raise CapacityError(
@@ -163,10 +155,6 @@ def local_optimize(sched: ScheduledCircuit, hw: HardwareSpec, init: Assignment,
     """Rolling-window local pass. Never returns a plan with more interconnect
     uses than the static global assignment: if windowed migration ends up
     worse in total, the zero-migration plan is emitted instead."""
-    if len(hw.qpus) != 2:
-        raise NotImplementedError(
-            "the windowed local pass targets two-QPU hardware; k-way global "
-            "assignment is available but not window-optimized")
     buckets = _bucket_gates(sched, dt)
     rng = random.Random(seed ^ 0x5EED)
 
@@ -250,7 +238,8 @@ def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
                        cur: dict[int, int], rng) -> list[Migration]:
     """Apply profitable moves in descending-benefit order. Moves are single
     teleports into free slots when available, otherwise pairwise exchanges
-    (two teleports) with an opposite mover or an idle resident. Updates
+    (two teleports) with an opposite mover or an idle resident, where the
+    target QPU has the two EPR slots an exchange needs. Updates
     `assignment` and its QPU map `cur` in place."""
     migrations: list[Migration] = []
     active_set = set(active)
@@ -270,6 +259,8 @@ def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
                 cand = (net, 0, (q,), ("single", q, dst))
                 if best is None or _better(cand, best):
                     best = cand
+            if assignment.hw.qpus[dst].epr_slots < 2:
+                continue  # an exchange uses two EPR slots on q's destination
             # pair with an opposite-direction mover
             for r in movers:
                 if r <= q or proposal[r] != cur[q] or cur[r] != dst:

@@ -124,8 +124,9 @@ def test_schedule_barrier_synchronizes():
 
 
 def test_duration_model_must_be_positive():
-    with pytest.raises(CircuitError):
-        DurationModel(cx=0)
+    for value in (0, float("nan"), float("inf")):
+        with pytest.raises(CircuitError):
+            DurationModel(cx=value)
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=20))

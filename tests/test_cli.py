@@ -228,6 +228,50 @@ def test_compile_three_qpu_hardware_exit_1(tmp_path):
                  "--hardware", str(hwfile)]) == 1
 
 
+TWO_QPUS = (b"qpus:\n  - {id: a, data_capacity: 3}\n  - {id: b, data_capacity: 3}\n"
+            b"links:\n  - {qpu_a: a, qpu_b: b}\n")
+MALFORMED_HARDWARE = {
+    "qpu-without-id": b"qpus:\n  - {data_capacity: 3}\n  - {id: b, data_capacity: 3}\n",
+    "capacity-not-a-number": b"qpus:\n  - {id: a, data_capacity: three}\n",
+    "zero-duration": TWO_QPUS + b"durations: {cx: 0}\n",
+    "truncated-yaml": b"qpus: [",
+    "qpus-not-a-list": b"qpus: 5\n",
+    "nan-epr-period": TWO_QPUS + b"durations: {epr_period: .nan}\n",
+    "not-utf-8": b"\xffqpus: 5\n",
+}
+
+
+@pytest.mark.parametrize("command", ["compile", "bench"])
+@pytest.mark.parametrize("spec", MALFORMED_HARDWARE.values(), ids=MALFORMED_HARDWARE.keys())
+def test_malformed_hardware_exit_1(tmp_path, capsys, command, spec):
+    hwfile = tmp_path / "hw.yaml"
+    hwfile.write_bytes(spec)
+    target = CORPUS_DIR / "tof_3.qasm" if command == "compile" else CORPUS_DIR
+    assert main([command, str(target), "--hardware", str(hwfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_small_compile_prints_no_topology_warning(tmp_path, capsys):
+    # default hardware for 2 qubits puts lambda_2 exactly on the threshold
+    f = tmp_path / "pair.qasm"
+    f.write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n")
+    assert main(["compile", str(f)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_wide_interconnect_still_warns(tmp_path, capsys):
+    hwfile = tmp_path / "hw.yaml"
+    hwfile.write_text(
+        "qpus:\n  - {id: a, data_capacity: 2}\n  - {id: b, data_capacity: 2}\n"
+        "links:\n  - {qpu_a: a, qpu_b: b, channels: 8}\n")
+    f = tmp_path / "pair.qasm"
+    f.write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n")
+    assert main(["compile", str(f), "--hardware", str(hwfile)]) == 0
+    assert "weakly clustered (lambda_2=1.528 > 1.0)" in capsys.readouterr().err
+
+
 def test_verify_tof3_exit_0():
     assert main(["verify", str(CORPUS_DIR / "tof_3.qasm")]) == 0
 

@@ -9,6 +9,7 @@ from dqcc import (Circuit, Gate, GateKind, decompose_to_basis,
 from dqcc.bench import compile_circuit
 from dqcc.gadgets import (cross_qpu_violations, epr_prepare,
                           expand_program, expand_remote_cnot, expand_teleport)
+from dqcc.hardware import HardwareSpec, Link, QPU
 
 from conftest import corpus_text
 
@@ -262,7 +263,6 @@ def test_exchange_migrations_expand_and_verify():
         c.rz(1, 0.5)
     for _ in range(10):
         c.cx(1, 3)
-    from dqcc.hardware import HardwareSpec, Link, QPU
     hw = HardwareSpec([QPU("qpu0", 2, 2), QPU("qpu1", 2, 2)],
                       [Link("qpu0", "qpu1", 2)])
     dec = decompose_to_basis(c)
@@ -276,6 +276,30 @@ def test_exchange_migrations_expand_and_verify():
         dec, exp.circuit, tol=1e-9,
         candidate_in_wires=[exp.in_wires[q] for q in range(4)],
         candidate_out_wires=[exp.out_wires[q] for q in range(4)])
+    assert rep.equivalent, rep.detail
+
+
+def one_epr_slot_hardware(n):
+    """Full QPUs with one EPR slot each: room for no pairwise exchange."""
+    return HardwareSpec([QPU("qpu0", math.ceil(n / 2), 1), QPU("qpu1", n // 2, 1)],
+                        [Link("qpu0", "qpu1", 1)])
+
+
+@pytest.mark.parametrize("dt", [None, 16.0, 8.0])
+def test_one_epr_slot_hardware_compiles_without_exchanges(dt):
+    circuit = parse_qasm(corpus_text("gf2_4_mult"))
+    result = compile_circuit(circuit, one_epr_slot_hardware(circuit.num_qubits), dt, 0)
+    assert cross_qpu_violations(result.expanded.circuit, result.hw) == []
+
+
+def test_one_epr_slot_plan_verifies():
+    circuit = parse_qasm(corpus_text("barenco_tof_4"))
+    result = compile_circuit(circuit, one_epr_slot_hardware(circuit.num_qubits), 16.0, 0)
+    exp = result.expanded
+    rep = equivalence_report(
+        result.decomposed, exp.circuit, tol=1e-9,
+        candidate_in_wires=[exp.in_wires[q] for q in range(circuit.num_qubits)],
+        candidate_out_wires=[exp.out_wires[q] for q in range(circuit.num_qubits)])
     assert rep.equivalent, rep.detail
 
 
