@@ -56,8 +56,8 @@ def compile_circuit(circuit: Circuit, hw: HardwareSpec | None = None,
     decomposed = decompose_to_basis(circuit)
     sched = schedule_asap(decomposed, hw.durations)
     init = global_assign(decomposed, hw, seed)
-    mapped = local_optimize(sched, hw, init, dt, seed)
-    expanded = expand_program(mapped, hw)
+    mapped = local_optimize(sched, init, dt, seed)
+    expanded = expand_program(mapped)
     runtime = time.perf_counter() - t0
 
     base_total = count_two_qubit(decomposed)
@@ -86,8 +86,8 @@ def compile_circuit(circuit: Circuit, hw: HardwareSpec | None = None,
 
 
 def hardware_suitability(hw: HardwareSpec, threshold: float = 1.0):
-    """Screen the coupling topology: all-to-all inside each QPU plus one edge
-    per interconnect channel between paired reservoir slots."""
+    """Screen the coupling topology: all-to-all inside each QPU, plus the
+    interconnect's channels spread over edges between paired reservoir slots."""
     import numpy as np
     n = hw.total_wires
     w = np.zeros((n, n))
@@ -97,12 +97,10 @@ def hardware_suitability(hw: HardwareSpec, threshold: float = 1.0):
         for a in range(base, base + size):
             for b in range(a + 1, base + size):
                 w[a, b] = w[b, a] = 1.0
-    for link in hw.links:
-        ia, ib = hw.qpu_index(link.qpu_a), hw.qpu_index(link.qpu_b)
-        pairs = min(link.channels, hw.qpus[ia].epr_slots, hw.qpus[ib].epr_slots)
-        for s in range(pairs):
-            a, b = hw.epr_wire(ia, s), hw.epr_wire(ib, s)
-            w[a, b] = w[b, a] = link.channels / pairs
+    pairs = min(hw.channels, hw.qpus[0].epr_slots, hw.qpus[1].epr_slots)
+    for s in range(pairs):
+        a, b = hw.epr_wire(0, s), hw.epr_wire(1, s)
+        w[a, b] = w[b, a] = hw.channels / pairs
     return cheeger_screen(InteractionGraph(w), k=len(hw.qpus), threshold=threshold)
 
 

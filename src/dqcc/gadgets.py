@@ -1,8 +1,9 @@
 """LOCC gadget construction: EPR-pair preparation, EPR-mediated remote CNOT,
 and teleportation, plus expansion of a mapped program into a physical-wire
-circuit containing no cross-QPU two-qubit gates (the lone exception being the
-EPR-preparation cx between paired reservoir slots, which models the
-interconnect itself and is charged to the EPR ledger).
+circuit containing no cross-QPU two-qubit gates. The lone exception is the
+EPR-preparation cx between reservoir slots of the two QPUs: it models the
+one interconnect, which every hardware spec has, and is charged to the EPR
+ledger.
 """
 from __future__ import annotations
 
@@ -83,11 +84,11 @@ class ExpandedProgram:
     epr_events: int
 
 
-def expand_program(mp: MappedProgram, hw: HardwareSpec) -> ExpandedProgram:
-    """Lower a mapped program onto physical wires, expanding every remote cx
-    and teleport into its LOCC gadget. Classical bits for gadget measurements
-    are allocated after the program's own bits."""
-    circuit = mp.circuit
+def expand_program(mp: MappedProgram) -> ExpandedProgram:
+    """Lower a mapped program onto its hardware's physical wires, expanding
+    every remote cx and teleport into its LOCC gadget. Classical bits for
+    gadget measurements are allocated after the program's own bits."""
+    circuit, hw = mp.circuit, mp.hw
     out = Circuit(hw.total_wires, circuit.num_bits)
     next_bit = circuit.num_bits
     epr_events = 0
@@ -105,8 +106,6 @@ def expand_program(mp: MappedProgram, hw: HardwareSpec) -> ExpandedProgram:
     def epr_slot_pair(qpu_a: int, qpu_b: int) -> tuple[int, int]:
         # Slots are measured out and reset inside every gadget, so the lowest
         # reservoir slot on each side is always free again afterwards.
-        if hw.link_between(qpu_a, qpu_b) is None:
-            raise GadgetError(f"no interconnect between QPU {qpu_a} and {qpu_b}")
         return hw.epr_wire(qpu_a, 0), hw.epr_wire(qpu_b, 0)
 
     remote = {i for w in mp.windows for i in w.remote_gates}
@@ -173,8 +172,6 @@ def _expand_exchange(out: Circuit, hw: HardwareSpec, mig_q, mig_r, fresh_bits) -
     ea0 = hw.epr_wire(qpu_a, 0)
     eb0 = hw.epr_wire(qpu_b, 0)
     eb1 = hw.epr_wire(qpu_b, 1)
-    if hw.link_between(qpu_a, qpu_b) is None:
-        raise GadgetError(f"no interconnect between QPU {qpu_a} and {qpu_b}")
 
     # park q on the far reservoir slot eb0
     m1, n1 = fresh_bits()
@@ -201,7 +198,7 @@ def _expand_exchange(out: Circuit, hw: HardwareSpec, mig_q, mig_r, fresh_bits) -
 
 def cross_qpu_violations(expanded: Circuit, hw: HardwareSpec) -> list[int]:
     """Indices of two-qubit gates spanning QPUs, excluding EPR preparation
-    (a cx whose operands are both reservoir slots on linked QPUs)."""
+    (a cx whose operands are both reservoir slots)."""
     bad = []
     for i, g in enumerate(expanded.gates):
         if len(g.qubits) != 2 or g.kind not in (GateKind.CX,):
@@ -210,7 +207,7 @@ def cross_qpu_violations(expanded: Circuit, hw: HardwareSpec) -> list[int]:
         qa, qb = hw.qpu_of_wire(a), hw.qpu_of_wire(b)
         if qa == qb:
             continue
-        if hw.is_epr_wire(a) and hw.is_epr_wire(b) and hw.link_between(qa, qb):
+        if hw.is_epr_wire(a) and hw.is_epr_wire(b):
             continue
         bad.append(i)
     return bad

@@ -1,6 +1,8 @@
-"""Target hardware description: QPU clusters, EPR reservoir slots, interconnect
-links, and gate durations. Loaded from a YAML key-value file or synthesized
-for the default two-cluster architecture."""
+"""Target hardware: two QPU clusters, each with data slots and an EPR
+reservoir, joined by one interconnect of `channels` parallel EPR channels,
+plus gate durations. Loaded from a YAML key-value file or synthesized for the
+default two-cluster architecture. Every QPU is on the interconnect, so each
+needs at least one EPR slot."""
 from __future__ import annotations
 
 import hashlib
@@ -26,52 +28,24 @@ class QPU:
     def __post_init__(self):
         if self.data_capacity < 1:
             raise HardwareError(f"QPU {self.id}: data_capacity must be >= 1")
-        if self.epr_slots < 0:
-            raise HardwareError(f"QPU {self.id}: epr_slots must be >= 0")
-
-
-@dataclass(frozen=True)
-class Link:
-    qpu_a: str
-    qpu_b: str
-    channels: int
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise HardwareError("link channels must be >= 1")
+        if self.epr_slots < 1:
+            raise HardwareError(f"QPU {self.id}: epr_slots must be >= 1")
 
 
 @dataclass
 class HardwareSpec:
     qpus: list[QPU]
-    links: list[Link]
+    channels: int
     durations: DurationModel = field(default_factory=DurationModel)
 
     def __post_init__(self):
         if len(self.qpus) != 2:
             raise HardwareError(
                 f"dqcc compiles for exactly two QPUs, the spec has {len(self.qpus)}")
-        ids = [q.id for q in self.qpus]
-        if len(set(ids)) != len(ids):
+        if self.qpus[0].id == self.qpus[1].id:
             raise HardwareError("duplicate QPU ids")
-        for link in self.links:
-            if link.qpu_a not in ids or link.qpu_b not in ids:
-                raise HardwareError(f"link references unknown QPU: {link}")
-            for qid in (link.qpu_a, link.qpu_b):
-                if self.qpu_by_id(qid).epr_slots < 1:
-                    raise HardwareError(f"QPU {qid} participates in a link but has no EPR slots")
-
-    def qpu_by_id(self, qid: str) -> QPU:
-        for q in self.qpus:
-            if q.id == qid:
-                return q
-        raise HardwareError(f"unknown QPU id {qid}")
-
-    def qpu_index(self, qid: str) -> int:
-        for i, q in enumerate(self.qpus):
-            if q.id == qid:
-                return i
-        raise HardwareError(f"unknown QPU id {qid}")
+        if self.channels < 1:
+            raise HardwareError("interconnect channels must be >= 1")
 
     @property
     def total_data_capacity(self) -> int:
@@ -109,17 +83,12 @@ class HardwareSpec:
         i = self.qpu_of_wire(wire)
         return wire >= self.wire_base(i) + self.qpus[i].data_capacity
 
-    def link_between(self, i: int, j: int) -> Link | None:
-        a, b = self.qpus[i].id, self.qpus[j].id
-        for link in self.links:
-            if {link.qpu_a, link.qpu_b} == {a, b}:
-                return link
-        return None
-
     def fingerprint(self) -> str:
         doc = {
             "qpus": [[q.id, q.data_capacity, q.epr_slots] for q in self.qpus],
-            "links": [[l.qpu_a, l.qpu_b, l.channels] for l in self.links],
+            # the one-link list keeps the document, so fingerprints of
+            # existing specs and reports stay valid
+            "links": [[self.qpus[0].id, self.qpus[1].id, self.channels]],
             "durations": [self.durations.rx, self.durations.rz, self.durations.h,
                           self.durations.cx, self.durations.measure,
                           self.durations.epr_generation_period],
@@ -127,16 +96,11 @@ class HardwareSpec:
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def default_hardware(num_qubits: int, epr_slots: int = 2, channels: int = 2,
-                     durations: DurationModel | None = None) -> HardwareSpec:
-    """Two all-to-all clusters of ceil(N/2) data qubits each, plus an EPR
-    reservoir per cluster, joined by one interconnect."""
+def default_hardware(num_qubits: int) -> HardwareSpec:
+    """Two all-to-all clusters of ceil(N/2) data qubits and 2 EPR slots each,
+    joined by one 2-channel interconnect."""
     cap = max(1, math.ceil(num_qubits / 2))
-    return HardwareSpec(
-        qpus=[QPU("qpu0", cap, epr_slots), QPU("qpu1", cap, epr_slots)],
-        links=[Link("qpu0", "qpu1", channels)],
-        durations=durations or DurationModel(),
-    )
+    return HardwareSpec([QPU("qpu0", cap, 2), QPU("qpu1", cap, 2)], 2)
 
 
 def load_hardware_spec(path: str) -> HardwareSpec:
@@ -148,14 +112,29 @@ def load_hardware_spec(path: str) -> HardwareSpec:
     return hardware_from_dict(doc)
 
 
+def _count(value, name: str) -> int:
+    """An integer-valued count; refuses booleans and fractions, which int()
+    would silently turn into 1 or truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise HardwareError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def hardware_from_dict(doc: dict) -> HardwareSpec:
+    """Build a spec from a parsed YAML document. `links` is a list holding
+    exactly one entry, which names the two declared QPUs in either order."""
     if not isinstance(doc, dict) or "qpus" not in doc:
         raise HardwareError("hardware spec must define qpus[]")
     try:
-        qpus = [QPU(str(q["id"]), int(q["data_capacity"]), int(q.get("epr_slots", 2)))
+        qpus = [QPU(str(q["id"]), _count(q["data_capacity"], "data_capacity"),
+                    _count(q.get("epr_slots", 2), "epr_slots"))
                 for q in doc["qpus"]]
-        links = [Link(str(l["qpu_a"]), str(l["qpu_b"]), int(l.get("channels", 1)))
-                 for l in doc.get("links", [])]
+        links = doc.get("links")
+        if not isinstance(links, list) or len(links) != 1:
+            raise HardwareError("hardware spec must declare exactly one link, "
+                                "between its two QPUs")
+        ends = sorted(str(links[0][key]) for key in ("qpu_a", "qpu_b"))
+        channels = _count(links[0].get("channels", 1), "channels")
         dur = doc.get("durations", {})
         model = DurationModel(
             rx=float(dur.get("rx", 1.0)),
@@ -171,7 +150,11 @@ def hardware_from_dict(doc: dict) -> HardwareSpec:
         raise HardwareError(f"hardware spec entry lacks the key {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise HardwareError(f"malformed hardware spec: {exc}") from exc
-    return HardwareSpec(qpus, links, model)
+    hw = HardwareSpec(qpus, channels, model)
+    if ends != sorted(q.id for q in hw.qpus):
+        raise HardwareError(f"the link must join the two declared QPUs, "
+                            f"it joins {ends[0]!r} and {ends[1]!r}")
+    return hw
 
 
 @dataclass

@@ -125,9 +125,8 @@ class MappedProgram:
         return [len(w.remote_gates) + len(w.migrations) for w in self.windows]
 
     def epr_budget_per_window(self) -> int:
-        channels = sum(l.channels for l in self.hw.links)
         period = self.hw.durations.epr_generation_period
-        return int(channels * np.ceil(self.dt / period))
+        return int(self.hw.channels * np.ceil(self.dt / period))
 
     def throttle_violations(self) -> list[int]:
         budget = self.epr_budget_per_window()
@@ -150,11 +149,13 @@ def _orient_to_incumbent(labels: np.ndarray, active: list[int],
     return mirrored if moves(mirrored) < moves(labels) else labels
 
 
-def local_optimize(sched: ScheduledCircuit, hw: HardwareSpec, init: Assignment,
-                   dt: float, seed: int = 0) -> MappedProgram:
-    """Rolling-window local pass. Never returns a plan with more interconnect
-    uses than the static global assignment: if windowed migration ends up
-    worse in total, the zero-migration plan is emitted instead."""
+def local_optimize(sched: ScheduledCircuit, init: Assignment, dt: float,
+                   seed: int = 0) -> MappedProgram:
+    """Rolling-window local pass on the hardware of `init`. Never returns a
+    plan with more interconnect uses than the static global assignment: if
+    windowed migration ends up worse in total, the zero-migration plan is
+    emitted instead."""
+    hw = init.hw
     buckets = _bucket_gates(sched, dt)
     rng = random.Random(seed ^ 0x5EED)
 

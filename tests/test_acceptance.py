@@ -239,7 +239,7 @@ def test_criterion_7_reduction_property():
         hw = default_hardware(circuit.num_qubits)
         sched = schedule_asap(circuit, hw.durations)
         init = global_assign(circuit, hw, seed=1)
-        mp = local_optimize(sched, hw, init, dt=sched.makespan + 1.0, seed=1)
+        mp = local_optimize(sched, init, dt=sched.makespan + 1.0, seed=1)
         global_count = count_inter_qpu(circuit, init.qpu_map())
         if not (len(mp.windows) == 1
                 and mp.teleport_count == 0

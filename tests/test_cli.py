@@ -201,7 +201,7 @@ def test_bench_unexpected_error_propagates(tmp_path, monkeypatch):
         main(["bench", str(small)])
 
 
-def test_compile_unlinked_hardware_exit_1(tmp_path):
+def test_compile_unlinked_hardware_exit_1(tmp_path, capsys):
     hwfile = tmp_path / "hw.yaml"
     hwfile.write_text(
         "qpus:\n"
@@ -212,6 +212,8 @@ def test_compile_unlinked_hardware_exit_1(tmp_path):
     f.write_text("OPENQASM 2.0;\nqreg q[6];\ncx q[0],q[5];\ncx q[1],q[4];\n"
                  "cx q[2],q[3];\ncx q[0],q[3];\n")
     assert main(["compile", str(f), "--hardware", str(hwfile)]) == 1
+    # refused at load, before any gadget is built
+    assert "exactly one link" in capsys.readouterr().err
 
 
 def test_compile_three_qpu_hardware_exit_1(tmp_path):
@@ -228,8 +230,8 @@ def test_compile_three_qpu_hardware_exit_1(tmp_path):
                  "--hardware", str(hwfile)]) == 1
 
 
-TWO_QPUS = (b"qpus:\n  - {id: a, data_capacity: 3}\n  - {id: b, data_capacity: 3}\n"
-            b"links:\n  - {qpu_a: a, qpu_b: b}\n")
+QPU_PAIR = b"qpus:\n  - {id: a, data_capacity: 3}\n  - {id: b, data_capacity: 3}\n"
+TWO_QPUS = QPU_PAIR + b"links:\n  - {qpu_a: a, qpu_b: b}\n"
 MALFORMED_HARDWARE = {
     "qpu-without-id": b"qpus:\n  - {data_capacity: 3}\n  - {id: b, data_capacity: 3}\n",
     "capacity-not-a-number": b"qpus:\n  - {id: a, data_capacity: three}\n",
@@ -238,6 +240,12 @@ MALFORMED_HARDWARE = {
     "qpus-not-a-list": b"qpus: 5\n",
     "nan-epr-period": TWO_QPUS + b"durations: {epr_period: .nan}\n",
     "not-utf-8": b"\xffqpus: 5\n",
+    "two-links": QPU_PAIR + (b"links:\n  - {qpu_a: a, qpu_b: b, channels: 1}\n"
+                             b"  - {qpu_a: a, qpu_b: b, channels: 5}\n"),
+    "no-link": QPU_PAIR,
+    "link-to-unknown-qpu": QPU_PAIR + b"links:\n  - {qpu_a: a, qpu_b: c}\n",
+    "fractional-capacity": TWO_QPUS.replace(b"data_capacity: 3}", b"data_capacity: 3.7}", 1),
+    "boolean-epr-slots": TWO_QPUS.replace(b"data_capacity: 3}", b"data_capacity: 3, epr_slots: true}", 1),
 }
 
 

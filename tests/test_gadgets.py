@@ -9,7 +9,7 @@ from dqcc import (Circuit, Gate, GateKind, decompose_to_basis,
 from dqcc.bench import compile_circuit
 from dqcc.gadgets import (cross_qpu_violations, epr_prepare,
                           expand_program, expand_remote_cnot, expand_teleport)
-from dqcc.hardware import HardwareSpec, Link, QPU
+from dqcc.hardware import HardwareSpec, QPU
 
 from conftest import corpus_text
 
@@ -192,7 +192,7 @@ def _mapped(name, dt=200.0, seed=0, hw=None):
     hw = hw or default_hardware(circuit.num_qubits)
     sched = schedule_asap(circuit, hw.durations)
     init = global_assign(circuit, hw, seed)
-    return circuit, hw, local_optimize(sched, hw, init, dt, seed)
+    return circuit, hw, local_optimize(sched, init, dt, seed)
 
 
 def test_expand_single_remote_cx_contains_three_cx():
@@ -200,9 +200,9 @@ def test_expand_single_remote_cx_contains_three_cx():
     hw = default_hardware(2)  # one data qubit per QPU: the cx must go remote
     sched = schedule_asap(c, hw.durations)
     init = global_assign(c, hw, 0)
-    mp = local_optimize(sched, hw, init, 200.0, 0)
+    mp = local_optimize(sched, init, 200.0, 0)
     assert mp.remote_count == 1
-    exp = expand_program(mp, hw)
+    exp = expand_program(mp)
     assert sum(g.kind == GateKind.CX for g in exp.circuit.gates) == 3
     assert cross_qpu_violations(exp.circuit, hw) == []
 
@@ -212,9 +212,9 @@ def test_expand_no_remote_ops_is_identity_transformation():
     hw = default_hardware(4)
     sched = schedule_asap(c, hw.durations)
     init = global_assign(c, hw, 0)
-    mp = local_optimize(sched, hw, init, 200.0, 0)
+    mp = local_optimize(sched, init, 200.0, 0)
     assert mp.inter_qpu_total == 0
-    exp = expand_program(mp, hw)
+    exp = expand_program(mp)
     assert [g.kind for g in exp.circuit.gates] == [g.kind for g in c.gates]
     assert [g.params for g in exp.circuit.gates] == [g.params for g in c.gates]
     assert exp.epr_events == 0
@@ -223,14 +223,14 @@ def test_expand_no_remote_ops_is_identity_transformation():
 def test_expand_epr_conservation_and_locality_on_corpus():
     for name in ("tof_5", "gf2_4_mult", "mod5_4"):
         circuit, hw, mp = _mapped(name)
-        exp = expand_program(mp, hw)
+        exp = expand_program(mp)
         assert exp.epr_events == mp.inter_qpu_total
         assert cross_qpu_violations(exp.circuit, hw) == []
 
 
 def test_expanded_toffoli_class_equivalent_to_input():
     circuit, hw, mp = _mapped("tof_3")
-    exp = expand_program(mp, hw)
+    exp = expand_program(mp)
     rep = equivalence_report(
         circuit, exp.circuit, tol=1e-9,
         candidate_in_wires=[exp.in_wires[q] for q in range(circuit.num_qubits)],
@@ -240,7 +240,7 @@ def test_expanded_toffoli_class_equivalent_to_input():
 
 def test_classical_bit_hygiene():
     circuit, hw, mp = _mapped("gf2_4_mult")
-    exp = expand_program(mp, hw)
+    exp = expand_program(mp)
     writes: dict[int, int] = {}
     reads: dict[int, int] = {}
     for g in exp.circuit.gates:
@@ -263,14 +263,13 @@ def test_exchange_migrations_expand_and_verify():
         c.rz(1, 0.5)
     for _ in range(10):
         c.cx(1, 3)
-    hw = HardwareSpec([QPU("qpu0", 2, 2), QPU("qpu1", 2, 2)],
-                      [Link("qpu0", "qpu1", 2)])
+    hw = HardwareSpec([QPU("qpu0", 2, 2), QPU("qpu1", 2, 2)], 2)
     dec = decompose_to_basis(c)
     sched = schedule_asap(dec, hw.durations)
     init = global_assign(dec, hw, 0)
-    mp = local_optimize(sched, hw, init, 200.0, 0)
+    mp = local_optimize(sched, init, 200.0, 0)
     assert mp.teleport_count == 2 and mp.remote_count == 0
-    exp = expand_program(mp, hw)
+    exp = expand_program(mp)
     assert cross_qpu_violations(exp.circuit, hw) == []
     rep = equivalence_report(
         dec, exp.circuit, tol=1e-9,
@@ -281,8 +280,7 @@ def test_exchange_migrations_expand_and_verify():
 
 def one_epr_slot_hardware(n):
     """Full QPUs with one EPR slot each: room for no pairwise exchange."""
-    return HardwareSpec([QPU("qpu0", math.ceil(n / 2), 1), QPU("qpu1", n // 2, 1)],
-                        [Link("qpu0", "qpu1", 1)])
+    return HardwareSpec([QPU("qpu0", math.ceil(n / 2), 1), QPU("qpu1", n // 2, 1)], 1)
 
 
 @pytest.mark.parametrize("dt", [None, 16.0, 8.0])

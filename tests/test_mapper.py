@@ -6,15 +6,14 @@ from dqcc import (Circuit, DurationModel, corpusgen, count_inter_qpu,
                   local_optimize, parse_qasm, schedule_asap)
 from dqcc.bench import compile_circuit
 from dqcc.circuits import GateKind
-from dqcc.hardware import HardwareSpec, Link, QPU
+from dqcc.hardware import HardwareSpec, QPU
 from dqcc.mapper import CapacityError, _bucket_gates, _move_gain
 
 from conftest import corpus_text
 
 
 def hw_two(cap, epr=2, channels=2):
-    return HardwareSpec([QPU("qpu0", cap, epr), QPU("qpu1", cap, epr)],
-                        [Link("qpu0", "qpu1", channels)])
+    return HardwareSpec([QPU("qpu0", cap, epr), QPU("qpu1", cap, epr)], channels)
 
 
 # -- global_assign -----------------------------------------------------------
@@ -125,7 +124,7 @@ def _compile(circuit, hw, dt, seed=0):
     dec = decompose_to_basis(circuit)
     sched = schedule_asap(dec, hw.durations)
     init = global_assign(dec, hw, seed)
-    return dec, init, local_optimize(sched, hw, init, dt, seed)
+    return dec, init, local_optimize(sched, init, dt, seed)
 
 
 def test_temporally_separated_groups_cost_migrations_only():
@@ -152,7 +151,7 @@ def test_single_window_reduces_to_global():
     dec = decompose_to_basis(c)
     sched = schedule_asap(dec, hw.durations)
     init = global_assign(dec, hw, 0)
-    mp = local_optimize(sched, hw, init, dt=sched.makespan + 1, seed=0)
+    mp = local_optimize(sched, init, dt=sched.makespan + 1, seed=0)
     assert len(mp.windows) == 1
     assert mp.teleport_count == 0
     assert mp.final.placement == init.placement
@@ -191,7 +190,7 @@ def test_local_tags_are_consistent_with_window_placements():
     hw = default_hardware(18)
     sched = schedule_asap(c, hw.durations)
     init = global_assign(c, hw, 0)
-    mp = local_optimize(sched, hw, init, 200.0, 0)
+    mp = local_optimize(sched, init, 200.0, 0)
     for w, _, qpus in _window_qpus(mp):
         for i in w.gate_indices:
             g = c.gates[i]
@@ -207,7 +206,7 @@ def test_windows_never_worse_than_inherited():
         hw = default_hardware(c.num_qubits)
         sched = schedule_asap(c, hw.durations)
         init = global_assign(c, hw, 0)
-        mp = local_optimize(sched, hw, init, 200.0, 0)
+        mp = local_optimize(sched, init, 200.0, 0)
         for w, inherited, _ in _window_qpus(mp):
             assert (len(w.remote_gates) + len(w.migrations)
                     <= len(_spanning(c, w.gate_indices, inherited)))
@@ -219,7 +218,7 @@ def test_local_never_worse_than_global():
         hw = default_hardware(c.num_qubits)
         sched = schedule_asap(c, hw.durations)
         init = global_assign(c, hw, 0)
-        mp = local_optimize(sched, hw, init, 200.0, 0)
+        mp = local_optimize(sched, init, 200.0, 0)
         assert mp.inter_qpu_total <= count_inter_qpu(c, init.qpu_map())
 
 
@@ -240,7 +239,7 @@ def test_assignments_thread_through_windows():
     hw = default_hardware(12)
     sched = schedule_asap(c, hw.durations)
     init = global_assign(c, hw, 0)
-    mp = local_optimize(sched, hw, init, 200.0, 0)
+    mp = local_optimize(sched, init, 200.0, 0)
     placement = dict(mp.initial.placement)
     assert placement == init.placement
     for w in mp.windows:
