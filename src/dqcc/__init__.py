@@ -10,9 +10,8 @@ from .circuits import (Circuit, CircuitError, DurationModel, Gate, GateKind,
                        ScheduledCircuit, count_inter_qpu, count_two_qubit,
                        decompose_to_basis, schedule_asap)
 from .qasm import QasmError, emit_qasm, parse_qasm
-from .graphs import (InteractionGraph, PartitionVector, association_ratio,
-                     cheeger_screen, conductance, interaction_graph,
-                     laplacian_eigenvalues)
+from .graphs import (InteractionGraph, PartitionVector, cheeger_screen,
+                     conductance, interaction_graph, laplacian_eigenvalues)
 from .partition import SizeSpec, cut_cost, exact_min_cut, kl_refine, spectral_partition
 from .hardware import Assignment, HardwareSpec, QPU, default_hardware, load_hardware_spec
 from .mapper import CapacityError, MappedProgram, global_assign, local_optimize
@@ -27,8 +26,8 @@ __all__ = [
     "ScheduledCircuit", "count_inter_qpu", "count_two_qubit",
     "decompose_to_basis", "schedule_asap",
     "QasmError", "emit_qasm", "parse_qasm",
-    "InteractionGraph", "PartitionVector", "association_ratio",
-    "cheeger_screen", "conductance", "interaction_graph", "laplacian_eigenvalues",
+    "InteractionGraph", "PartitionVector", "cheeger_screen", "conductance",
+    "interaction_graph", "laplacian_eigenvalues",
     "SizeSpec", "cut_cost", "exact_min_cut", "kl_refine", "spectral_partition",
     "Assignment", "HardwareSpec", "QPU", "default_hardware", "load_hardware_spec",
     "CapacityError", "MappedProgram", "global_assign", "local_optimize",

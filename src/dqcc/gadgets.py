@@ -109,6 +109,7 @@ def expand_program(mp: MappedProgram) -> ExpandedProgram:
         return hw.epr_wire(qpu_a, 0), hw.epr_wire(qpu_b, 0)
 
     remote = {i for w in mp.windows for i in w.remote_gates}
+    wires = dict(in_wires)  # logical qubit -> its current data wire
 
     for w in mp.windows:
         migs = list(w.migrations)
@@ -117,8 +118,9 @@ def expand_program(mp: MappedProgram) -> ExpandedProgram:
             if migs and migs[0].src == mig.dst and migs[0].dst == mig.src:
                 partner = migs.pop(0)
                 _expand_exchange(out, hw, mig, partner, fresh_bits)
-                placement[mig.qubit] = mig.dst
-                placement[partner.qubit] = partner.dst
+                for m in (mig, partner):
+                    placement[m.qubit] = m.dst
+                    wires[m.qubit] = hw.data_wire(*m.dst)
                 epr_events += 2
             else:
                 src_qpu, _ = mig.src
@@ -131,8 +133,8 @@ def expand_program(mp: MappedProgram) -> ExpandedProgram:
                 for g in expand_teleport(src_wire, dst_wire, (e1, e2), fresh_bits()):
                     out.append(g)
                 placement[mig.qubit] = mig.dst
+                wires[mig.qubit] = dst_wire
                 epr_events += 1
-        wires = {q: hw.data_wire(*placement[q]) for q in placement}
         for i in w.gate_indices:
             gate = circuit.gates[i]
             if i in remote:
@@ -148,8 +150,7 @@ def expand_program(mp: MappedProgram) -> ExpandedProgram:
                 out.append(Gate(gate.kind, tuple(wires[q] for q in gate.qubits),
                                 gate.params, gate.bits))
 
-    out_wires = {q: hw.data_wire(*placement[q]) for q in placement}
-    return ExpandedProgram(out, in_wires, out_wires, epr_events)
+    return ExpandedProgram(out, in_wires, wires, epr_events)
 
 
 def _expand_exchange(out: Circuit, hw: HardwareSpec, mig_q, mig_r, fresh_bits) -> None:

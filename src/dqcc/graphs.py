@@ -1,5 +1,5 @@
 """Weighted interaction graphs, Laplacian spectra, and clustering quality
-metrics (conductance, association ratio, spectral screening)."""
+metrics (conductance, spectral screening)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -137,18 +137,6 @@ def conductance(graph: InteractionGraph, partition: PartitionVector) -> np.ndarr
         if vol <= 0:
             raise GraphError(f"cluster {j} has zero volume")
         out[j] = float(v @ lap @ v) / vol
-    return out
-
-
-def association_ratio(graph: InteractionGraph, partition: PartitionVector) -> np.ndarray:
-    """Per-cluster intra-cluster weight per vertex, (v_j' A v_j) / (v_j' v_j)."""
-    out = np.zeros(partition.k)
-    for j in range(partition.k):
-        v = partition.indicator(j)
-        size = float(v @ v)
-        if size <= 0:
-            raise GraphError(f"cluster {j} is empty")
-        out[j] = float(v @ graph.weights @ v) / size
     return out
 
 

@@ -120,6 +120,14 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _duration(value, name: str) -> float:
+    """A duration in time units; refuses booleans and strings, which float()
+    would silently turn into 1.0 or parse."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise HardwareError(f"duration {name} must be a number, got {value!r}")
+    return float(value)
+
+
 def hardware_from_dict(doc: dict) -> HardwareSpec:
     """Build a spec from a parsed YAML document. `links` is a list holding
     exactly one entry, which names the two declared QPUs in either order."""
@@ -137,12 +145,12 @@ def hardware_from_dict(doc: dict) -> HardwareSpec:
         channels = _count(links[0].get("channels", 1), "channels")
         dur = doc.get("durations", {})
         model = DurationModel(
-            rx=float(dur.get("rx", 1.0)),
-            rz=float(dur.get("rz", 1.0)),
-            h=float(dur.get("h", 1.0)),
-            cx=float(dur.get("cx", 2.0)),
-            measure=float(dur.get("measure", 5.0)),
-            epr_generation_period=float(dur.get("epr_period", 200.0)),
+            rx=_duration(dur.get("rx", 1.0), "rx"),
+            rz=_duration(dur.get("rz", 1.0), "rz"),
+            h=_duration(dur.get("h", 1.0), "h"),
+            cx=_duration(dur.get("cx", 2.0), "cx"),
+            measure=_duration(dur.get("measure", 5.0), "measure"),
+            epr_generation_period=_duration(dur.get("epr_period", 200.0), "epr_period"),
         )
     except HardwareError:
         raise

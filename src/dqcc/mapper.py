@@ -7,6 +7,12 @@ incumbent placement), then moves a qubit only when the EPR cost of a teleport
 is strictly beaten by the remote gates it saves. On architectures with no
 spare data slots a move is realized as a pairwise exchange (two teleports)
 with either an opposite-direction mover or an idle resident.
+
+A window partitions only when some qubit has two remote cx in it. A move of
+q saves at most q's own remote cx, and a single move costs one EPR pair, a
+pair exchange two plus twice the gates between the pair, an eviction two, so
+with at most one remote cx per qubit no move can pay and the window keeps
+its placement without building a graph.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, ScheduledCircuit
+from .circuits import Circuit, GateKind, ScheduledCircuit, count_inter_qpu
 from .graphs import InteractionGraph, PartitionVector, circuit_graph, interaction_graph
 from .hardware import Assignment, HardwareSpec
 from .partition import SizeSpec, cut_cost, kl_refine, spectral_partition
@@ -160,8 +166,9 @@ def local_optimize(sched: ScheduledCircuit, init: Assignment, dt: float,
     rng = random.Random(seed ^ 0x5EED)
 
     plan = _windowed_plan(sched, hw, init, dt, buckets, rng)
-    static = _static_plan(sched, hw, init, dt, buckets)
-    return plan if plan.inter_qpu_total <= static.inter_qpu_total else static
+    if plan.inter_qpu_total <= count_inter_qpu(sched.circuit, init.qpu_map()):
+        return plan
+    return _static_plan(sched, hw, init, dt, buckets)
 
 
 def _bucket_gates(sched: ScheduledCircuit, dt: float) -> list[list[int]]:
@@ -200,23 +207,37 @@ def _windowed_plan(sched, hw, init, dt, buckets, rng) -> MappedProgram:
     assignment = init.copy()
     caps = tuple(q.data_capacity for q in hw.qpus)
     plans: list[WindowPlan] = []
+    cur = assignment.qpu_map()  # kept in step by _greedy_migrations
 
     for indices in buckets:
-        wadj = interaction_graph(circuit, indices).weights
-        active = sorted({q for i in indices
-                         for q in circuit.gates[i].qubits
-                         if circuit.gates[i].kind != GateKind.BARRIER})
-        cur = assignment.qpu_map()
+        remote = _remote_indices(circuit, indices, cur)
         migrations: list[Migration] = []
 
-        if active and any(wadj[q].any() for q in active):
+        if _a_move_can_pay(circuit, remote):
+            wadj = interaction_graph(circuit, indices).weights
+            active = sorted({q for i in indices
+                             for q in circuit.gates[i].qubits
+                             if circuit.gates[i].kind != GateKind.BARRIER})
             proposal = _window_proposal(wadj, active, cur, caps)
             migrations = _greedy_migrations(wadj, active, proposal, assignment, cur, rng)
+            if migrations:
+                remote = _remote_indices(circuit, indices, cur)
 
-        plans.append(WindowPlan(migrations, indices,
-                                _remote_indices(circuit, indices, cur)))
+        plans.append(WindowPlan(migrations, indices, remote))
 
     return MappedProgram(circuit, hw, dt, plans, init.copy(), assignment.copy())
+
+
+def _a_move_can_pay(circuit: Circuit, remote: list[int]) -> bool:
+    """Whether some qubit has two of the window's remote cx: otherwise every
+    move's net gain is at most zero and `_greedy_migrations` takes none."""
+    seen = set()
+    for i in remote:
+        for q in circuit.gates[i].qubits:
+            if q in seen:
+                return True
+            seen.add(q)
+    return False
 
 
 def _window_proposal(wadj, active, cur, caps) -> dict[int, int]:

@@ -246,6 +246,8 @@ MALFORMED_HARDWARE = {
     "link-to-unknown-qpu": QPU_PAIR + b"links:\n  - {qpu_a: a, qpu_b: c}\n",
     "fractional-capacity": TWO_QPUS.replace(b"data_capacity: 3}", b"data_capacity: 3.7}", 1),
     "boolean-epr-slots": TWO_QPUS.replace(b"data_capacity: 3}", b"data_capacity: 3, epr_slots: true}", 1),
+    "boolean-duration": TWO_QPUS + b"durations: {cx: true}\n",
+    "quoted-epr-period": TWO_QPUS + b'durations: {epr_period: "50"}\n',
 }
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqcc import (Circuit, DurationModel, InteractionGraph, PartitionVector,
-                  association_ratio, cheeger_screen, conductance,
-                  interaction_graph, laplacian_eigenvalues,
-                  parse_qasm, schedule_asap)
+                  cheeger_screen, conductance, interaction_graph,
+                  laplacian_eigenvalues, parse_qasm, schedule_asap)
 from dqcc.graphs import GraphError, circuit_graph
 from dqcc.mapper import _bucket_gates
 
@@ -139,7 +138,7 @@ def test_psd_smallest_eigenvalue_nonnegative():
         assert vals[0] >= -1e-9 * scale
 
 
-# -- conductance and association ratio --------------------------------------
+# -- conductance ---------------------------------------------------------------
 
 def test_k4_bisection_conductance():
     p = PartitionVector(np.array([0, 0, 1, 1]), 2)
@@ -167,25 +166,6 @@ def test_conductance_zero_volume_errors():
     p = PartitionVector(np.array([0, 0, 1]), 2)
     with pytest.raises(GraphError):
         conductance(InteractionGraph(w), p)
-
-
-def test_association_ratio_triangle():
-    tri = np.zeros((3, 3))
-    for a, b in [(0, 1), (1, 2), (0, 2)]:
-        tri[a, b] = tri[b, a] = 1
-    p = PartitionVector(np.zeros(3, dtype=int), 1)
-    assert association_ratio(InteractionGraph(tri), p) == pytest.approx([2.0])
-
-
-def test_association_ratio_edgeless_cluster():
-    g = InteractionGraph(np.zeros((3, 3)))
-    p = PartitionVector(np.zeros(3, dtype=int), 1)
-    assert association_ratio(g, p) == pytest.approx([0.0])
-
-
-def test_association_ratio_k4_split():
-    p = PartitionVector(np.array([0, 0, 1, 1]), 2)
-    assert association_ratio(complete(4), p) == pytest.approx([1.0, 1.0])
 
 
 # -- cheeger screen ----------------------------------------------------------
@@ -290,7 +270,6 @@ def test_metrics_invariant_under_relabeling(seed):
         assert c1 == pytest.approx(c2)
     except GraphError:
         pass
-    assert association_ratio(g, p1) == pytest.approx(association_ratio(pg, p2))
 
 
 def test_sum_of_quadratic_forms_is_twice_cut():

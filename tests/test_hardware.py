@@ -125,6 +125,20 @@ def test_loader_accepts_integral_floats():
     assert isinstance(hw.channels, int)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cx", True), ("rx", False), ("epr_period", "50"), ("measure", "5.0"), ("h", None),
+])
+def test_loader_refuses_non_numeric_durations(key, value):
+    doc = {**spec_doc([LINK]), "durations": {key: value}}
+    with pytest.raises(HardwareError, match=f"duration {key} must be a number"):
+        hardware_from_dict(doc)
+
+
+def test_loader_accepts_integer_durations():
+    hw = hardware_from_dict({**spec_doc([LINK]), "durations": {"cx": 3, "epr_period": 50}})
+    assert (hw.durations.cx, hw.durations.epr_generation_period) == (3.0, 50.0)
+
+
 def test_bundled_config_is_the_default_architecture():
     hw = load_hardware_spec(str(CONFIGS / "two_cluster_12q.yaml"))
     assert default_hardware(12).fingerprint() == "d49b9eb52f32f159"

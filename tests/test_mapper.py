@@ -1,13 +1,17 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqcc import (Circuit, DurationModel, corpusgen, count_inter_qpu,
                   decompose_to_basis, default_hardware, global_assign,
-                  local_optimize, parse_qasm, schedule_asap)
+                  interaction_graph, local_optimize, parse_qasm, schedule_asap)
 from dqcc.bench import compile_circuit
 from dqcc.circuits import GateKind
-from dqcc.hardware import HardwareSpec, QPU
-from dqcc.mapper import CapacityError, _bucket_gates, _move_gain
+from dqcc.hardware import Assignment, HardwareSpec, QPU
+from dqcc.mapper import (CapacityError, _a_move_can_pay, _bucket_gates,
+                         _greedy_migrations, _move_gain, _remote_indices)
 
 from conftest import corpus_text
 
@@ -116,6 +120,62 @@ def test_move_gain_star(remote_edges, local_edges, gain):
     w[0, 1] = w[1, 0] = remote_edges
     w[0, 2] = w[2, 0] = local_edges
     assert _move_gain(w, {0: 0, 1: 1, 2: 0}, 0, 1) == gain
+
+
+# -- the partitioning rule -----------------------------------------------------
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_no_move_pays_with_at_most_one_remote_cx_per_qubit(seed, spare_slots):
+    # a window of local cx on each QPU plus a matching of remote cx across
+    # the cut, any proposal, with and without free data slots
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    sides = [[0], [1]]
+    for q in range(2, n):
+        sides[int(rng.integers(2))].append(q)
+    c = Circuit(n)
+    for side in sides:
+        for i, a in enumerate(side):
+            for b in side[i + 1:]:
+                for _ in range(int(rng.integers(0, 4))):
+                    c.cx(a, b)
+    for a, b in zip(rng.permutation(sides[0]), rng.permutation(sides[1])):
+        if rng.random() < 0.7:
+            c.cx(int(a), int(b))
+    caps = [len(side) + (int(rng.integers(1, 3)) if spare_slots else 0) for side in sides]
+    hw = HardwareSpec([QPU("qpu0", caps[0], int(rng.integers(1, 3))),
+                       QPU("qpu1", caps[1], int(rng.integers(1, 3)))], 1)
+    assignment = Assignment(hw)
+    for p, side in enumerate(sides):
+        for q, slot in zip(side, rng.permutation(caps[p])):
+            assignment.placement[q] = (p, int(slot))
+    cur = assignment.qpu_map()
+    window = range(len(c.gates))
+    assert not _a_move_can_pay(c, _remote_indices(c, window, cur))
+
+    wadj = interaction_graph(c, window).weights
+    active = sorted({q for g in c.gates for q in g.qubits}
+                    | {q for q in range(n) if rng.random() < 0.5})
+    proposal = {q: int(rng.integers(2)) for q in active}
+    placement = dict(assignment.placement)
+    draws = random.Random(seed)
+    state = draws.getstate()
+    assert _greedy_migrations(wadj, active, proposal, assignment, cur, draws) == []
+    assert assignment.placement == placement
+    assert cur == assignment.qpu_map()
+    assert draws.getstate() == state
+
+
+def test_windows_without_two_remote_cx_on_a_qubit_do_not_partition(monkeypatch):
+    # at dt=1, the shortest gate duration, no qubit starts two gates in one
+    # window, so no window can hold two remote cx on one qubit
+    def refuse(*args):
+        raise AssertionError("partitioned a window where no move can pay")
+    monkeypatch.setattr("dqcc.mapper._window_proposal", refuse)
+    r = compile_circuit(parse_qasm(corpus_text("gf2_4_mult")), None, 1.0, 0).record
+    assert r["teleports"] == 0
+    assert r["local_interqpu"] == r["global_interqpu"] > 0
 
 
 # -- local_optimize ----------------------------------------------------------
@@ -259,6 +319,8 @@ GOLDEN = [
     ("gf2_10_mult", None, (301, 189, 36, 189, "windowed")),
     ("gf2_10_mult", 16.0, (301, 206, 108, 206, "windowed")),
     ("barenco_tof_10", 8.0, (16, 16, 0, 16, "static")),
+    ("gf2_6_mult", 8.0, (109, 97, 26, 97, "windowed")),
+    ("grover_5", 16.0, (48, 46, 8, 46, "windowed")),
 ]
 
 
