@@ -69,7 +69,7 @@ def compile_circuit(circuit: Circuit, hw: HardwareSpec | None = None,
         "dt": dt,
         "base_total_2q": base_total,
         "base_interqpu_trivial": count_inter_qpu(decomposed, trivial),
-        "global_interqpu": count_inter_qpu(decomposed, init.qpu_map()),
+        "global_interqpu": mapped.global_interqpu,
         "local_interqpu": mapped.inter_qpu_total,
         "local_plan": mapped.local_plan,
         "local_remote_gates": mapped.remote_count,

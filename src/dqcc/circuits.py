@@ -84,12 +84,6 @@ class Circuit:
     def copy(self) -> "Circuit":
         return Circuit(self.num_qubits, self.num_bits, list(self.gates))
 
-    def __eq__(self, other):
-        return (isinstance(other, Circuit)
-                and self.num_qubits == other.num_qubits
-                and self.num_bits == other.num_bits
-                and self.gates == other.gates)
-
 
 @dataclass(frozen=True)
 class DurationModel:
@@ -220,21 +214,15 @@ def decompose_to_basis(circuit: Circuit) -> Circuit:
     rewrite). Equivalent to the input up to global phase."""
     out = Circuit(circuit.num_qubits, circuit.num_bits)
     for gate in circuit.gates:
-        if gate.kind in _PASSTHROUGH:
-            out.append(gate)
-        elif gate.kind in _SINGLE_QUBIT_LOWERING:
-            kind, angle = _SINGLE_QUBIT_LOWERING[gate.kind]
-            out.add(kind, gate.qubits, (angle,))
-        elif gate.kind == GateKind.CCX:
-            a, b, t = gate.qubits
-            for g in toffoli_sequence(a, b, t):
-                if g.kind in _SINGLE_QUBIT_LOWERING:
-                    kind, angle = _SINGLE_QUBIT_LOWERING[g.kind]
-                    out.add(kind, g.qubits, (angle,))
-                else:
-                    out.append(g)
-        else:
-            raise CircuitError(f"cannot lower gate kind {gate.kind.value}")
+        parts = toffoli_sequence(*gate.qubits) if gate.kind == GateKind.CCX else (gate,)
+        for g in parts:
+            if g.kind in _PASSTHROUGH:
+                out.append(g)
+            elif g.kind in _SINGLE_QUBIT_LOWERING:
+                kind, angle = _SINGLE_QUBIT_LOWERING[g.kind]
+                out.add(kind, g.qubits, (angle,))
+            else:
+                raise CircuitError(f"cannot lower gate kind {g.kind.value}")
     return out
 
 

@@ -1,9 +1,15 @@
-"""LOCC gadget construction: EPR-pair preparation, EPR-mediated remote CNOT,
-and teleportation, plus expansion of a mapped program into a physical-wire
-circuit containing no cross-QPU two-qubit gates. The lone exception is the
-EPR-preparation cx between reservoir slots of the two QPUs: it models the
-one interconnect, which every hardware spec has, and is charged to the EPR
-ledger.
+"""LOCC gadgets and the expansion of a mapped program into a physical-wire
+circuit containing no cross-QPU two-qubit gates.
+
+The gadgets are templates over wires and classical bits:
+- `expand_remote_cnot`: a cx between QPUs, over one prepared EPR pair;
+- `expand_teleport`: a qubit moved into a free data slot on the other QPU,
+  over one prepared EPR pair;
+- `expand_exchange`: two data qubits swapped between full QPUs, two EPR
+  pairs, built from the teleport's Bell step and the teleport itself.
+The one cx between QPUs left in the output is the EPR preparation between
+reservoir slots (`epr_prepare`): it models the one interconnect, which every
+hardware spec has, and is charged to the EPR ledger.
 """
 from __future__ import annotations
 
@@ -50,15 +56,9 @@ def expand_remote_cnot(ctrl: int, tgt: int, epr: tuple[int, int],
     ]
 
 
-def expand_teleport(src: int, dst_slot: int, epr: tuple[int, int],
-                    bits: tuple[int, int]) -> list[Gate]:
-    """Teleport src's state onto dst_slot via a prepared EPR pair.
-
-    slot1 shares src's QPU; slot2 and dst_slot sit on the receiving QPU. The
-    Bell measurement happens on (src, slot1); corrections land on slot2, and
-    two local cx then stage the state into the (fresh, |0>) destination slot,
-    returning slot2 to |0>. src and slot1 are reset after measurement.
-    """
+def _send(src: int, epr: tuple[int, int], bits: tuple[int, int]) -> list[Gate]:
+    """A teleport's Bell step: six gates move src's state onto slot2, then two
+    reset src and slot1 to |0> from their outcomes."""
     slot1, slot2 = epr
     m, n = bits
     K = GateKind
@@ -69,11 +69,44 @@ def expand_teleport(src: int, dst_slot: int, epr: tuple[int, int],
         Gate(K.MEASURE, (src,), bits=(n,)),
         Gate(K.CC_X, (slot2,), bits=(m,)),
         Gate(K.CC_Z, (slot2,), bits=(n,)),
-        Gate(K.CX, (slot2, dst_slot)),
-        Gate(K.CX, (dst_slot, slot2)),
         Gate(K.CC_X, (slot1,), bits=(m,)),
         Gate(K.CC_X, (src,), bits=(n,)),
     ]
+
+
+def _stage(src: int, dst: int) -> list[Gate]:
+    """Move src's state into the |0> wire dst, leaving src in |0>."""
+    return [Gate(GateKind.CX, (src, dst)), Gate(GateKind.CX, (dst, src))]
+
+
+def expand_teleport(src: int, dst_slot: int, epr: tuple[int, int],
+                    bits: tuple[int, int]) -> list[Gate]:
+    """Teleport src's state onto dst_slot via a prepared EPR pair.
+
+    slot1 shares src's QPU; slot2 and dst_slot sit on the receiving QPU. The
+    Bell step moves the state onto slot2, two local cx stage it into the
+    (fresh, |0>) destination slot, and src and slot1 are reset last.
+    """
+    send = _send(src, epr, bits)
+    return send[:6] + _stage(epr[1], dst_slot) + send[6:]
+
+
+def expand_exchange(wq: int, wr: int, slot_q: int, slots_r: tuple[int, int],
+                    bits: tuple[int, int, int, int]) -> list[Gate]:
+    """Swap the states of data wires wq and wr, which sit on different QPUs
+    with no free data slot, with two teleports staged through the reservoir.
+
+    slot_q is a reservoir slot on wq's QPU, slots_r two on wr's QPU; all
+    start in |0> and end there. Unlike the other templates this one includes
+    its EPR preparations, because slot_q is in both pairs and is prepared
+    again only after the first pair is measured out. q is sent onto
+    slots_r[0]; that frees wq for r's teleport over (slots_r[1], slot_q);
+    finally q's parked state is staged into r's freed wire.
+    """
+    park, relay = slots_r
+    return (epr_prepare(slot_q, park) + _send(wq, (slot_q, park), bits[:2])
+            + epr_prepare(relay, slot_q) + expand_teleport(wr, wq, (relay, slot_q), bits[2:])
+            + _stage(park, wr))
 
 
 @dataclass
@@ -86,66 +119,54 @@ class ExpandedProgram:
 
 def expand_program(mp: MappedProgram) -> ExpandedProgram:
     """Lower a mapped program onto its hardware's physical wires, expanding
-    every remote cx and teleport into its LOCC gadget. Classical bits for
-    gadget measurements are allocated after the program's own bits."""
+    every remote cx, teleport and exchange into its LOCC gadget.
+
+    A gadget uses the lowest reservoir slots of its QPUs: it measures them
+    out and resets them, so they are free again for the next one. `emit`
+    gives each gadget two classical bits per EPR pair, after the program's
+    own bits, and charges its pairs to the EPR ledger."""
     circuit, hw = mp.circuit, mp.hw
     out = Circuit(hw.total_wires, circuit.num_bits)
-    next_bit = circuit.num_bits
     epr_events = 0
 
-    placement = dict(mp.initial.placement)
-    in_wires = {q: hw.data_wire(*placement[q]) for q in placement}
+    def emit(pairs: int, gadget) -> None:
+        nonlocal epr_events
+        bits = tuple(range(out.num_bits, out.num_bits + 2 * pairs))
+        out.num_bits += 2 * pairs
+        epr_events += pairs
+        for g in gadget(bits):
+            out.append(g)
 
-    def fresh_bits() -> tuple[int, int]:
-        nonlocal next_bit
-        out.num_bits += 2
-        pair = (next_bit, next_bit + 1)
-        next_bit += 2
-        return pair
+    def reservoir(wire: int) -> int:
+        return hw.epr_wire(hw.qpu_of_wire(wire), 0)
 
-    def epr_slot_pair(qpu_a: int, qpu_b: int) -> tuple[int, int]:
-        # Slots are measured out and reset inside every gadget, so the lowest
-        # reservoir slot on each side is always free again afterwards.
-        return hw.epr_wire(qpu_a, 0), hw.epr_wire(qpu_b, 0)
-
-    remote = {i for w in mp.windows for i in w.remote_gates}
+    in_wires = {q: hw.data_wire(*slot) for q, slot in mp.initial.placement.items()}
     wires = dict(in_wires)  # logical qubit -> its current data wire
+    remote = {i for w in mp.windows for i in w.remote_gates}
 
     for w in mp.windows:
         migs = list(w.migrations)
         while migs:
             mig = migs.pop(0)
+            wq, wd = hw.data_wire(*mig.src), hw.data_wire(*mig.dst)
             if migs and migs[0].src == mig.dst and migs[0].dst == mig.src:
-                partner = migs.pop(0)
-                _expand_exchange(out, hw, mig, partner, fresh_bits)
-                for m in (mig, partner):
-                    placement[m.qubit] = m.dst
-                    wires[m.qubit] = hw.data_wire(*m.dst)
-                epr_events += 2
+                partner, dst = migs.pop(0), mig.dst[0]
+                if hw.qpus[dst].epr_slots < 2:
+                    raise GadgetError(f"QPU {hw.qpus[dst].id} needs 2 EPR slots "
+                                      f"to host a pairwise exchange")
+                slots = hw.epr_wire(dst, 0), hw.epr_wire(dst, 1)
+                emit(2, lambda bits: expand_exchange(wq, wd, reservoir(wq), slots, bits))
+                wires[partner.qubit] = wq
             else:
-                src_qpu, _ = mig.src
-                dst_qpu, _ = mig.dst
-                src_wire = hw.data_wire(*mig.src)
-                dst_wire = hw.data_wire(*mig.dst)
-                e1, e2 = epr_slot_pair(src_qpu, dst_qpu)
-                for g in epr_prepare(e1, e2):
-                    out.append(g)
-                for g in expand_teleport(src_wire, dst_wire, (e1, e2), fresh_bits()):
-                    out.append(g)
-                placement[mig.qubit] = mig.dst
-                wires[mig.qubit] = dst_wire
-                epr_events += 1
+                e = reservoir(wq), reservoir(wd)
+                emit(1, lambda bits: epr_prepare(*e) + expand_teleport(wq, wd, e, bits))
+            wires[mig.qubit] = wd
         for i in w.gate_indices:
             gate = circuit.gates[i]
             if i in remote:
-                c, t = gate.qubits
-                qa, qb = placement[c][0], placement[t][0]
-                e1, e2 = epr_slot_pair(qa, qb)
-                for g in epr_prepare(e1, e2):
-                    out.append(g)
-                for g in expand_remote_cnot(wires[c], wires[t], (e1, e2), fresh_bits()):
-                    out.append(g)
-                epr_events += 1
+                c, t = (wires[q] for q in gate.qubits)
+                e = reservoir(c), reservoir(t)
+                emit(1, lambda bits: epr_prepare(*e) + expand_remote_cnot(c, t, e, bits))
             else:
                 out.append(Gate(gate.kind, tuple(wires[q] for q in gate.qubits),
                                 gate.params, gate.bits))
@@ -153,62 +174,14 @@ def expand_program(mp: MappedProgram) -> ExpandedProgram:
     return ExpandedProgram(out, in_wires, wires, epr_events)
 
 
-def _expand_exchange(out: Circuit, hw: HardwareSpec, mig_q, mig_r, fresh_bits) -> None:
-    """Swap two data qubits across QPUs with two teleports, staging through
-    the EPR reservoir since neither side has a free data slot.
-
-    Qubit q is Bell-measured into the far reservoir slot first; that frees its
-    data slot for r's teleport; finally both parked states are staged into the
-    freed data slots with local cx pairs. Requires two reservoir slots on q's
-    destination QPU.
-    """
-    K = GateKind
-    qpu_a, _ = mig_q.src
-    qpu_b, _ = mig_r.src
-    wq = hw.data_wire(*mig_q.src)
-    wr = hw.data_wire(*mig_r.src)
-    if hw.qpus[qpu_b].epr_slots < 2:
-        raise GadgetError(
-            f"QPU {hw.qpus[qpu_b].id} needs 2 EPR slots to host a pairwise exchange")
-    ea0 = hw.epr_wire(qpu_a, 0)
-    eb0 = hw.epr_wire(qpu_b, 0)
-    eb1 = hw.epr_wire(qpu_b, 1)
-
-    # park q on the far reservoir slot eb0
-    m1, n1 = fresh_bits()
-    for g in epr_prepare(ea0, eb0):
-        out.append(g)
-    out.append(Gate(K.CX, (wq, ea0)))
-    out.append(Gate(K.H, (wq,)))
-    out.append(Gate(K.MEASURE, (ea0,), bits=(m1,)))
-    out.append(Gate(K.MEASURE, (wq,), bits=(n1,)))
-    out.append(Gate(K.CC_X, (eb0,), bits=(m1,)))
-    out.append(Gate(K.CC_Z, (eb0,), bits=(n1,)))
-    out.append(Gate(K.CC_X, (ea0,), bits=(m1,)))
-    out.append(Gate(K.CC_X, (wq,), bits=(n1,)))
-    # teleport r into q's freed slot
-    m2, n2 = fresh_bits()
-    for g in epr_prepare(eb1, ea0):
-        out.append(g)
-    for g in expand_teleport(wr, wq, (eb1, ea0), (m2, n2)):
-        out.append(g)
-    # stage q's parked state into r's freed slot
-    out.append(Gate(K.CX, (eb0, wr)))
-    out.append(Gate(K.CX, (wr, eb0)))
-
-
 def cross_qpu_violations(expanded: Circuit, hw: HardwareSpec) -> list[int]:
     """Indices of two-qubit gates spanning QPUs, excluding EPR preparation
     (a cx whose operands are both reservoir slots)."""
     bad = []
     for i, g in enumerate(expanded.gates):
-        if len(g.qubits) != 2 or g.kind not in (GateKind.CX,):
-            continue
-        a, b = g.qubits
-        qa, qb = hw.qpu_of_wire(a), hw.qpu_of_wire(b)
-        if qa == qb:
-            continue
-        if hw.is_epr_wire(a) and hw.is_epr_wire(b):
-            continue
-        bad.append(i)
+        if g.kind == GateKind.CX and len(g.qubits) == 2:
+            a, b = g.qubits
+            if (hw.qpu_of_wire(a) != hw.qpu_of_wire(b)
+                    and not (hw.is_epr_wire(a) and hw.is_epr_wire(b))):
+                bad.append(i)
     return bad

@@ -112,6 +112,7 @@ class MappedProgram:
     windows: list[WindowPlan]
     initial: Assignment
     final: Assignment
+    global_interqpu: int  # remote cx under `initial` alone: the static plan's total
     local_plan: str = "windowed"  # or "static": the zero-migration fallback
 
     @property
@@ -161,14 +162,15 @@ def local_optimize(sched: ScheduledCircuit, init: Assignment, dt: float,
     plan with more interconnect uses than the static global assignment: if
     windowed migration ends up worse in total, the zero-migration plan is
     emitted instead."""
-    hw = init.hw
+    circuit = sched.circuit
     buckets = _bucket_gates(sched, dt)
-    rng = random.Random(seed ^ 0x5EED)
-
-    plan = _windowed_plan(sched, hw, init, dt, buckets, rng)
-    if plan.inter_qpu_total <= count_inter_qpu(sched.circuit, init.qpu_map()):
-        return plan
-    return _static_plan(sched, hw, init, dt, buckets)
+    global_interqpu = count_inter_qpu(circuit, init.qpu_map())
+    windows, final = _windowed_plan(circuit, init, buckets, random.Random(seed ^ 0x5EED))
+    plan = MappedProgram(circuit, init.hw, dt, windows, init.copy(), final, global_interqpu)
+    if plan.inter_qpu_total > global_interqpu:
+        plan = MappedProgram(circuit, init.hw, dt, _static_plan(circuit, init, buckets),
+                             init.copy(), init.copy(), global_interqpu, local_plan="static")
+    return plan
 
 
 def _bucket_gates(sched: ScheduledCircuit, dt: float) -> list[list[int]]:
@@ -193,19 +195,16 @@ def _remote_indices(circuit: Circuit, indices, qpus: dict[int, int]) -> list[int
     return out
 
 
-def _static_plan(sched, hw, init, dt, buckets) -> MappedProgram:
-    circuit = sched.circuit
+def _static_plan(circuit, init, buckets) -> list[WindowPlan]:
     qpus = init.qpu_map()
-    plans = [WindowPlan([], indices, _remote_indices(circuit, indices, qpus))
-             for indices in buckets]
-    return MappedProgram(circuit, hw, dt, plans, init.copy(), init.copy(),
-                         local_plan="static")
+    return [WindowPlan([], indices, _remote_indices(circuit, indices, qpus))
+            for indices in buckets]
 
 
-def _windowed_plan(sched, hw, init, dt, buckets, rng) -> MappedProgram:
-    circuit = sched.circuit
+def _windowed_plan(circuit, init, buckets, rng) -> tuple[list[WindowPlan], Assignment]:
+    """The windows of the migrating plan and the assignment it ends on."""
     assignment = init.copy()
-    caps = tuple(q.data_capacity for q in hw.qpus)
+    caps = tuple(q.data_capacity for q in init.hw.qpus)
     plans: list[WindowPlan] = []
     cur = assignment.qpu_map()  # kept in step by _greedy_migrations
 
@@ -225,7 +224,7 @@ def _windowed_plan(sched, hw, init, dt, buckets, rng) -> MappedProgram:
 
         plans.append(WindowPlan(migrations, indices, remote))
 
-    return MappedProgram(circuit, hw, dt, plans, init.copy(), assignment.copy())
+    return plans, assignment
 
 
 def _a_move_can_pay(circuit: Circuit, remote: list[int]) -> bool:

@@ -26,7 +26,8 @@ from dqcc import (Circuit, count_inter_qpu, count_two_qubit, decompose_to_basis,
                   local_optimize, parse_qasm, schedule_asap, simulate)
 from dqcc import corpusgen
 from dqcc.bench import compile_circuit
-from dqcc.gadgets import epr_prepare, expand_remote_cnot, expand_teleport
+from dqcc.gadgets import (epr_prepare, expand_exchange, expand_remote_cnot,
+                          expand_teleport)
 from dqcc.graphs import (InteractionGraph, PartitionVector, conductance,
                          normalized_laplacian_eigenvalues)
 from dqcc.partition import SizeSpec, cut_cost, exact_min_cut, kl_refine, spectral_partition
@@ -89,9 +90,18 @@ def test_criterion_1_gadget_correctness():
             worst = min(worst, abs(np.vdot(psi, got)) ** 2)
     assert worst >= 1 - TOL
 
+    # the exchange swaps two data wires across full QPUs: q goes from wire 0
+    # to wire 1 and r the other way, over reservoir slots 2 and (3, 4)
+    swap = Circuit(5, 4)
+    for g in expand_exchange(0, 1, 2, (3, 4), (0, 1, 2, 3)):
+        swap.append(g)
+    rep3 = equivalence_report(Circuit(2), swap, tol=TOL,
+                              candidate_in_wires=[0, 1], candidate_out_wires=[1, 0])
+    assert rep3.equivalent and rep3.worst_fidelity >= 1 - TOL
+
     elapsed = time.perf_counter() - start
     _report(1, elapsed < 5.0,
-            f"remote-cnot and teleport branch fidelity >= 1-1e-9 "
+            f"remote-cnot, teleport and exchange branch fidelity >= 1-1e-9 "
             f"(worst {worst:.2e} from 1), {elapsed:.2f}s < 5s")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from dqcc import (Circuit, Gate, GateKind, decompose_to_basis,
                   default_hardware, equivalence_report, equivalent, global_assign,
                   local_optimize, parse_qasm, schedule_asap, simulate)
 from dqcc.bench import compile_circuit
-from dqcc.gadgets import (cross_qpu_violations, epr_prepare,
+from dqcc.gadgets import (GadgetError, cross_qpu_violations, epr_prepare, expand_exchange,
                           expand_program, expand_remote_cnot, expand_teleport)
 from dqcc.hardware import HardwareSpec, QPU
 
@@ -185,6 +186,35 @@ def test_teleport_with_a_dropped_correction_is_refuted():
     assert rep.failing_bits is not None
 
 
+def exchange_circuit():
+    # q on wire 0 and r on wire 1 trade places; slot 2 sits with q, 3 and 4 with r
+    c = Circuit(5, 4)
+    for g in expand_exchange(0, 1, 2, (3, 4), (0, 1, 2, 3)):
+        c.append(g)
+    return c
+
+
+def test_exchange_with_any_correction_dropped_or_flipped_is_refuted():
+    def report(circuit):
+        return equivalence_report(Circuit(2), circuit, candidate_in_wires=[0, 1],
+                                  candidate_out_wires=[1, 0])
+
+    assert report(exchange_circuit()).equivalent
+    swap = {GateKind.CC_X: GateKind.CC_Z, GateKind.CC_Z: GateKind.CC_X}
+    gates = exchange_circuit().gates
+    corrections = [i for i, g in enumerate(gates) if g.kind in swap]
+    assert len(corrections) == 8  # per teleport: two onto the slot, two resets
+    for i in corrections:
+        g = gates[i]
+        flipped = Gate(swap[g.kind], g.qubits, g.params, g.bits)
+        for edit in ([], [flipped]):
+            broken = _with_gates(exchange_circuit(),
+                                 lambda gs: gs[:i] + edit + gs[i + 1:])
+            rep = report(broken)
+            assert not rep.equivalent, (i, edit)
+            assert rep.failing_bits is not None
+
+
 # -- expand_program ---------------------------------------------------------------
 
 def _mapped(name, dt=200.0, seed=0, hw=None):
@@ -276,6 +306,10 @@ def test_exchange_migrations_expand_and_verify():
         candidate_in_wires=[exp.in_wires[q] for q in range(4)],
         candidate_out_wires=[exp.out_wires[q] for q in range(4)])
     assert rep.equivalent, rep.detail
+    # an exchange parks a qubit on a second reservoir slot of its destination
+    one_slot = HardwareSpec([QPU("qpu0", 2, 1), QPU("qpu1", 2, 1)], 2)
+    with pytest.raises(GadgetError, match="needs 2 EPR slots"):
+        expand_program(dataclasses.replace(mp, hw=one_slot))
 
 
 def one_epr_slot_hardware(n):
