@@ -13,7 +13,7 @@ from .qasm import QasmError, emit_qasm, parse_qasm
 from .graphs import (InteractionGraph, PartitionVector, cheeger_screen,
                      conductance, interaction_graph, laplacian_eigenvalues)
 from .partition import SizeSpec, cut_cost, exact_min_cut, kl_refine, spectral_partition
-from .hardware import Assignment, HardwareSpec, QPU, default_hardware, load_hardware_spec
+from .hardware import HardwareSpec, QPU, default_hardware, load_hardware_spec
 from .mapper import CapacityError, MappedProgram, global_assign, local_optimize
 from .gadgets import (ExpandedProgram, epr_prepare, expand_program,
                       expand_remote_cnot, expand_teleport)
@@ -29,7 +29,7 @@ __all__ = [
     "InteractionGraph", "PartitionVector", "cheeger_screen", "conductance",
     "interaction_graph", "laplacian_eigenvalues",
     "SizeSpec", "cut_cost", "exact_min_cut", "kl_refine", "spectral_partition",
-    "Assignment", "HardwareSpec", "QPU", "default_hardware", "load_hardware_spec",
+    "HardwareSpec", "QPU", "default_hardware", "load_hardware_spec",
     "CapacityError", "MappedProgram", "global_assign", "local_optimize",
     "ExpandedProgram", "epr_prepare", "expand_program",
     "expand_remote_cnot", "expand_teleport",

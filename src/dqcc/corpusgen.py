@@ -9,9 +9,9 @@ fixed 6-cx decomposition, so two-qubit totals and trivial-map inter-QPU counts
 are deterministic.
 
 PUBLISHED_BASELINES records the published per-circuit reference counts; for most
-files the reconstruction reproduces them exactly, and `verified_reconstruction`
-says which. The two exceptions (adder_8, qft_4) carry their own recorded
-counts as the baseline of record.
+files the reconstruction reproduces them exactly, and `recorded_baseline`
+says which (`matches_published`). The two exceptions (adder_8, qft_4) carry
+their own recorded counts as the baseline of record.
 """
 from __future__ import annotations
 
@@ -47,10 +47,6 @@ PUBLISHED_BASELINES: dict[str, tuple[int, int, int]] = {
 # Table-of-record suite: the six circuits reported with full baseline columns.
 TABLE_OF_RECORD = ["adder_8", "gf2_4_mult", "gf2_6_mult", "gf2_8_mult",
                 "gf2_10_mult", "grover_5"]
-
-# Circuits whose reconstruction is structural rather than count-exact; their
-# bundled counts are the recorded baseline (documented in corpus/README.md).
-RECONSTRUCTED_DIFFERENT = {"adder_8", "qft_4"}
 
 # Benchmarks on which the reference compiler reports at least a 2x reduction
 # of inter-QPU operations relative to the trivial map.
@@ -311,10 +307,6 @@ def recorded_baseline(name: str) -> dict:
         "published": list(published) if published else None,
         "matches_published": bool(published and published == (circuit.num_qubits, total, inter)),
     }
-
-
-def verified_reconstruction(name: str) -> bool:
-    return name not in RECONSTRUCTED_DIFFERENT
 
 
 def write_corpus(directory: str) -> dict:

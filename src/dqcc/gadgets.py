@@ -1,6 +1,11 @@
 """LOCC gadgets and the expansion of a mapped program into a physical-wire
 circuit containing no cross-QPU two-qubit gates.
 
+The mapper decides QPUs; the expansion picks data slots, by one
+deterministic rule. Each QPU's qubits start on its lowest data slots, in
+qubit order. A single teleport takes the lowest free data slot on its
+destination QPU, and an exchange swaps the two qubits' wires.
+
 The gadgets are templates over wires and classical bits:
 - `expand_remote_cnot`: a cx between QPUs, over one prepared EPR pair;
 - `expand_teleport`: a qubit moved into a free data slot on the other QPU,
@@ -13,6 +18,7 @@ hardware spec has, and is charged to the EPR ledger.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, GateKind
@@ -119,7 +125,8 @@ class ExpandedProgram:
 
 def expand_program(mp: MappedProgram) -> ExpandedProgram:
     """Lower a mapped program onto its hardware's physical wires, expanding
-    every remote cx, teleport and exchange into its LOCC gadget.
+    every remote cx, teleport and exchange into its LOCC gadget. The halves
+    of an exchange are consecutive migrations whose `kind` is not "single".
 
     A gadget uses the lowest reservoir slots of its QPUs: it measures them
     out and resets them, so they are free again for the next one. `emit`
@@ -140,26 +147,31 @@ def expand_program(mp: MappedProgram) -> ExpandedProgram:
     def reservoir(wire: int) -> int:
         return hw.epr_wire(hw.qpu_of_wire(wire), 0)
 
-    in_wires = {q: hw.data_wire(*slot) for q, slot in mp.initial.placement.items()}
+    # each QPU's free data wires, ascending: a heap whose top is the lowest
+    free = [list(range(hw.wire_base(p), hw.wire_base(p) + qpu.data_capacity))
+            for p, qpu in enumerate(hw.qpus)]
+    in_wires = {q: heapq.heappop(free[p]) for q, p in enumerate(mp.initial)}
     wires = dict(in_wires)  # logical qubit -> its current data wire
     remote = {i for w in mp.windows for i in w.remote_gates}
 
     for w in mp.windows:
-        migs = list(w.migrations)
-        while migs:
-            mig = migs.pop(0)
-            wq, wd = hw.data_wire(*mig.src), hw.data_wire(*mig.dst)
-            if migs and migs[0].src == mig.dst and migs[0].dst == mig.src:
-                partner, dst = migs.pop(0), mig.dst[0]
-                if hw.qpus[dst].epr_slots < 2:
-                    raise GadgetError(f"QPU {hw.qpus[dst].id} needs 2 EPR slots "
-                                      f"to host a pairwise exchange")
-                slots = hw.epr_wire(dst, 0), hw.epr_wire(dst, 1)
-                emit(2, lambda bits: expand_exchange(wq, wd, reservoir(wq), slots, bits))
-                wires[partner.qubit] = wq
-            else:
+        migs = iter(w.migrations)
+        for mig in migs:
+            wq = wires[mig.qubit]
+            if mig.kind == "single":
+                wd = heapq.heappop(free[mig.dst])
+                heapq.heappush(free[mig.src], wq)
                 e = reservoir(wq), reservoir(wd)
                 emit(1, lambda bits: epr_prepare(*e) + expand_teleport(wq, wd, e, bits))
+            else:
+                partner = next(migs)
+                wd = wires[partner.qubit]
+                if hw.qpus[mig.dst].epr_slots < 2:
+                    raise GadgetError(f"QPU {hw.qpus[mig.dst].id} needs 2 EPR slots "
+                                      f"to host a pairwise exchange")
+                slots = hw.epr_wire(mig.dst, 0), hw.epr_wire(mig.dst, 1)
+                emit(2, lambda bits: expand_exchange(wq, wd, reservoir(wq), slots, bits))
+                wires[partner.qubit] = wq
             wires[mig.qubit] = wd
         for i in w.gate_indices:
             gate = circuit.gates[i]

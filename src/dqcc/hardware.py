@@ -51,10 +51,11 @@ class HardwareSpec:
     def total_data_capacity(self) -> int:
         return sum(q.data_capacity for q in self.qpus)
 
-    # Physical wire layout: QPUs in declaration order, each contributing its
-    # data slots then its EPR reservoir slots.
+    # Physical wire layout: QPU 0's data slots then its EPR reservoir slots,
+    # then QPU 1's.
     def wire_base(self, qpu_idx: int) -> int:
-        return sum(q.data_capacity + q.epr_slots for q in self.qpus[:qpu_idx])
+        q0 = self.qpus[0]
+        return q0.data_capacity + q0.epr_slots if qpu_idx else 0
 
     def data_wire(self, qpu_idx: int, slot: int) -> int:
         q = self.qpus[qpu_idx]
@@ -70,14 +71,12 @@ class HardwareSpec:
 
     @property
     def total_wires(self) -> int:
-        return sum(q.data_capacity + q.epr_slots for q in self.qpus)
+        return self.wire_base(1) + self.qpus[1].data_capacity + self.qpus[1].epr_slots
 
     def qpu_of_wire(self, wire: int) -> int:
-        for i in range(len(self.qpus)):
-            base = self.wire_base(i)
-            if base <= wire < base + self.qpus[i].data_capacity + self.qpus[i].epr_slots:
-                return i
-        raise HardwareError(f"wire {wire} out of range")
+        if not 0 <= wire < self.total_wires:
+            raise HardwareError(f"wire {wire} out of range")
+        return int(wire >= self.wire_base(1))
 
     def is_epr_wire(self, wire: int) -> bool:
         i = self.qpu_of_wire(wire)
@@ -163,32 +162,3 @@ def hardware_from_dict(doc: dict) -> HardwareSpec:
         raise HardwareError(f"the link must join the two declared QPUs, "
                             f"it joins {ends[0]!r} and {ends[1]!r}")
     return hw
-
-
-@dataclass
-class Assignment:
-    """Logical qubit -> (QPU index, data slot). Injective into slots; EPR
-    reservoir slots never hold data."""
-    hw: HardwareSpec
-    placement: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        seen = set()
-        for q, (qpu, slot) in self.placement.items():
-            if not 0 <= qpu < len(self.hw.qpus):
-                raise HardwareError(f"qubit {q}: unknown QPU index {qpu}")
-            if not 0 <= slot < self.hw.qpus[qpu].data_capacity:
-                raise HardwareError(f"qubit {q}: slot {slot} exceeds data capacity")
-            if (qpu, slot) in seen:
-                raise HardwareError(f"slot collision at {(qpu, slot)}")
-            seen.add((qpu, slot))
-
-    def qpu_map(self) -> dict[int, int]:
-        return {q: qs[0] for q, qs in self.placement.items()}
-
-    def free_slots(self, qpu: int) -> list[int]:
-        used = {slot for (p, slot) in self.placement.values() if p == qpu}
-        return [s for s in range(self.hw.qpus[qpu].data_capacity) if s not in used]
-
-    def copy(self) -> "Assignment":
-        return Assignment(self.hw, dict(self.placement))

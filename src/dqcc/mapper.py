@@ -1,30 +1,31 @@
 """Compiler core: global QPU assignment from the full interaction graph,
 rolling-window re-partitioning, and greedy migrate-vs-remote decisions.
 
-The local pass threads an assignment through consecutive time windows. Within
-each window it re-partitions the active qubits (warm-started from the
-incumbent placement), then moves a qubit only when the EPR cost of a teleport
-is strictly beaten by the remote gates it saves. On architectures with no
-spare data slots a move is realized as a pairwise exchange (two teleports)
-with either an opposite-direction mover or an idle resident.
+The mapper decides only which QPU holds each qubit; inside an all-to-all QPU
+the data slot costs nothing, and `expand_program` picks it. The local pass
+threads a QPU map and each QPU's free data-slot count through consecutive
+time windows. Within each window it re-partitions the active qubits
+(warm-started from the incumbent QPU map), then moves a qubit only when the
+EPR cost of a teleport is strictly beaten by the remote gates it saves. A
+move is a single teleport when its destination has a free data slot, else a
+pairwise exchange (two teleports) with either an opposite-direction mover or
+an idle resident; each `Migration` carries the rule's action name as `kind`.
 
 A window partitions only when some qubit has two remote cx in it. A move of
 q saves at most q's own remote cx, and a single move costs one EPR pair, a
 pair exchange two plus twice the gates between the pair, an eviction two, so
 with at most one remote cx per qubit no move can pay and the window keeps
-its placement without building a graph.
+its QPU map without building a graph.
 """
 from __future__ import annotations
 
-import bisect
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, GateKind, ScheduledCircuit, count_inter_qpu
 from .graphs import InteractionGraph, PartitionVector, circuit_graph, interaction_graph
-from .hardware import Assignment, HardwareSpec
+from .hardware import HardwareSpec
 from .partition import SizeSpec, cut_cost, kl_refine, spectral_partition
 
 
@@ -49,11 +50,10 @@ def _trivial_partition(n: int, sizes: tuple[int, int]) -> PartitionVector:
     return PartitionVector(np.arange(n) >= sizes[0], 2)
 
 
-def global_assign(circuit: Circuit, hw: HardwareSpec, seed: int = 0) -> Assignment:
-    """Bisect the full-circuit interaction graph between the two QPUs
-    (spectral + Kernighan-Lin, with the identity split as a second refinement
-    start so the result never loses to the trivial map), then give each qubit
-    a seeded-random slot inside its QPU."""
+def global_assign(circuit: Circuit, hw: HardwareSpec) -> list[int]:
+    """The QPU of each qubit: split the full-circuit interaction graph
+    between the two QPUs (spectral + Kernighan-Lin, with the identity split as
+    a second refinement start so the result never loses to the trivial map)."""
     n = circuit.num_qubits
     if n > hw.total_data_capacity:
         raise CapacityError(
@@ -62,27 +62,16 @@ def global_assign(circuit: Circuit, hw: HardwareSpec, seed: int = 0) -> Assignme
     graph = circuit_graph(circuit)
     spec = SizeSpec(sizes)
     starts = [spectral_partition(graph, spec), _trivial_partition(n, sizes)]
-    part = _refined(graph, spec, starts)
-
-    rng = random.Random(seed)
-    assignment = Assignment(hw)
-    for qpu_idx in range(len(hw.qpus)):
-        members = [q for q in range(n) if part.labels[q] == qpu_idx]
-        free = list(range(hw.qpus[qpu_idx].data_capacity))
-        for q in members:
-            slot = free.pop(rng.randrange(len(free)))
-            assignment.placement[q] = (qpu_idx, slot)
-    assignment.validate()
-    return assignment
+    return [int(p) for p in _refined(graph, spec, starts).labels]
 
 
-def _move_gain(wadj: np.ndarray, qpus: dict[int, int], q: int, dst: int) -> float:
+def _move_gain(wadj: np.ndarray, qpus: list[int], q: int, dst: int) -> float:
     """Remote gates saved minus remote gates created if q alone moves to dst."""
     gain = 0.0
     src = qpus[q]
     row = wadj[q]
     for r, w in enumerate(row):
-        if w == 0 or r == q or r not in qpus:
+        if w == 0 or r == q:
             continue
         before = qpus[r] != src
         after = qpus[r] != dst
@@ -93,8 +82,9 @@ def _move_gain(wadj: np.ndarray, qpus: dict[int, int], q: int, dst: int) -> floa
 @dataclass
 class Migration:
     qubit: int
-    src: tuple[int, int]
-    dst: tuple[int, int]
+    src: int  # QPU
+    dst: int
+    kind: str  # "single", or "pair"/"evict" on both halves of an exchange
 
 
 @dataclass
@@ -110,8 +100,8 @@ class MappedProgram:
     hw: HardwareSpec
     dt: float
     windows: list[WindowPlan]
-    initial: Assignment
-    final: Assignment
+    initial: list[int]  # the QPU of each qubit before the first window
+    final: list[int]  # and after the last
     global_interqpu: int  # remote cx under `initial` alone: the static plan's total
     local_plan: str = "windowed"  # or "static": the zero-migration fallback
 
@@ -141,7 +131,7 @@ class MappedProgram:
 
 
 def _orient_to_incumbent(labels: np.ndarray, active: list[int],
-                         cur: dict[int, int], avail: tuple[int, int]) -> np.ndarray:
+                         cur: list[int], avail: tuple[int, int]) -> np.ndarray:
     """Pick the labeling orientation (as-is or mirrored) that fits capacity
     and disagrees with the incumbent on fewer qubits; ties keep as-is."""
     mirrored = 1 - labels
@@ -156,20 +146,20 @@ def _orient_to_incumbent(labels: np.ndarray, active: list[int],
     return mirrored if moves(mirrored) < moves(labels) else labels
 
 
-def local_optimize(sched: ScheduledCircuit, init: Assignment, dt: float,
-                   seed: int = 0) -> MappedProgram:
-    """Rolling-window local pass on the hardware of `init`. Never returns a
+def local_optimize(sched: ScheduledCircuit, init: list[int], hw: HardwareSpec,
+                   dt: float) -> MappedProgram:
+    """Rolling-window local pass from the QPU map `init`. Never returns a
     plan with more interconnect uses than the static global assignment: if
     windowed migration ends up worse in total, the zero-migration plan is
     emitted instead."""
     circuit = sched.circuit
     buckets = _bucket_gates(sched, dt)
-    global_interqpu = count_inter_qpu(circuit, init.qpu_map())
-    windows, final = _windowed_plan(circuit, init, buckets, random.Random(seed ^ 0x5EED))
-    plan = MappedProgram(circuit, init.hw, dt, windows, init.copy(), final, global_interqpu)
+    global_interqpu = count_inter_qpu(circuit, init)
+    windows, final = _windowed_plan(circuit, init, hw, buckets)
+    plan = MappedProgram(circuit, hw, dt, windows, list(init), final, global_interqpu)
     if plan.inter_qpu_total > global_interqpu:
-        plan = MappedProgram(circuit, init.hw, dt, _static_plan(circuit, init, buckets),
-                             init.copy(), init.copy(), global_interqpu, local_plan="static")
+        plan = MappedProgram(circuit, hw, dt, _static_plan(circuit, init, buckets),
+                             list(init), list(init), global_interqpu, local_plan="static")
     return plan
 
 
@@ -186,7 +176,7 @@ def _bucket_gates(sched: ScheduledCircuit, dt: float) -> list[list[int]]:
     return buckets
 
 
-def _remote_indices(circuit: Circuit, indices, qpus: dict[int, int]) -> list[int]:
+def _remote_indices(circuit: Circuit, indices, qpus: list[int]) -> list[int]:
     out = []
     for i in indices:
         g = circuit.gates[i]
@@ -196,17 +186,16 @@ def _remote_indices(circuit: Circuit, indices, qpus: dict[int, int]) -> list[int
 
 
 def _static_plan(circuit, init, buckets) -> list[WindowPlan]:
-    qpus = init.qpu_map()
-    return [WindowPlan([], indices, _remote_indices(circuit, indices, qpus))
+    return [WindowPlan([], indices, _remote_indices(circuit, indices, init))
             for indices in buckets]
 
 
-def _windowed_plan(circuit, init, buckets, rng) -> tuple[list[WindowPlan], Assignment]:
-    """The windows of the migrating plan and the assignment it ends on."""
-    assignment = init.copy()
-    caps = tuple(q.data_capacity for q in init.hw.qpus)
+def _windowed_plan(circuit, init, hw, buckets) -> tuple[list[WindowPlan], list[int]]:
+    """The windows of the migrating plan and the QPU map it ends on."""
+    caps = tuple(q.data_capacity for q in hw.qpus)
     plans: list[WindowPlan] = []
-    cur = assignment.qpu_map()  # kept in step by _greedy_migrations
+    cur = list(init)  # kept in step by _greedy_migrations, as is `free`
+    free = [cap - cur.count(p) for p, cap in enumerate(caps)]
 
     for indices in buckets:
         remote = _remote_indices(circuit, indices, cur)
@@ -218,13 +207,13 @@ def _windowed_plan(circuit, init, buckets, rng) -> tuple[list[WindowPlan], Assig
                              for q in circuit.gates[i].qubits
                              if circuit.gates[i].kind != GateKind.BARRIER})
             proposal = _window_proposal(wadj, active, cur, caps)
-            migrations = _greedy_migrations(wadj, active, proposal, assignment, cur, rng)
+            migrations = _greedy_migrations(wadj, active, proposal, hw, cur, free)
             if migrations:
                 remote = _remote_indices(circuit, indices, cur)
 
         plans.append(WindowPlan(migrations, indices, remote))
 
-    return plans, assignment
+    return plans, cur
 
 
 def _a_move_can_pay(circuit: Circuit, remote: list[int]) -> bool:
@@ -241,7 +230,7 @@ def _a_move_can_pay(circuit: Circuit, remote: list[int]) -> bool:
 
 def _window_proposal(wadj, active, cur, caps) -> dict[int, int]:
     """Partition the window-active qubits into QPUs, warm-started from the
-    incumbent placement. Full QPU capacities are used: idle residents do not
+    incumbent QPU map. Full QPU capacities are used: idle residents do not
     block a proposal, since the migration pass can displace them (at teleport
     cost) when doing so actually pays."""
     sub = InteractionGraph(wadj[np.ix_(active, active)])
@@ -255,17 +244,15 @@ def _window_proposal(wadj, active, cur, caps) -> dict[int, int]:
     return {q: int(labels[i]) for i, q in enumerate(active)}
 
 
-def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
-                       cur: dict[int, int], rng) -> list[Migration]:
+def _greedy_migrations(wadj, active, proposal, hw: HardwareSpec,
+                       cur: list[int], free: list[int]) -> list[Migration]:
     """Apply profitable moves in descending-benefit order. Moves are single
-    teleports into free slots when available, otherwise pairwise exchanges
-    (two teleports) with an opposite mover or an idle resident, where the
-    target QPU has the two EPR slots an exchange needs. Updates
-    `assignment` and its QPU map `cur` in place."""
+    teleports when the target QPU has a free data slot, otherwise pairwise
+    exchanges (two teleports) with an opposite mover or an idle resident,
+    where the target QPU has the two EPR slots an exchange needs. Updates
+    the QPU map `cur` and the free data-slot counts `free` in place."""
     migrations: list[Migration] = []
     active_set = set(active)
-    # kept ascending: the seeded slot draw indexes into this order
-    free = [assignment.free_slots(p) for p in range(len(assignment.hw.qpus))]
 
     while True:
         movers = [q for q in active if proposal[q] != cur[q]]
@@ -280,7 +267,7 @@ def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
                 cand = (net, 0, (q,), ("single", q, dst))
                 if best is None or _better(cand, best):
                     best = cand
-            if assignment.hw.qpus[dst].epr_slots < 2:
+            if hw.qpus[dst].epr_slots < 2:
                 continue  # an exchange uses two EPR slots on q's destination
             # pair with an opposite-direction mover
             for r in movers:
@@ -291,7 +278,7 @@ def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
                 if best is None or _better(cand, best):
                     best = cand
             # pair with the lowest-numbered idle resident of the target QPU
-            idle = min((r for r, p in cur.items() if p == dst and r not in active_set),
+            idle = min((r for r, p in enumerate(cur) if p == dst and r not in active_set),
                        default=None)
             if idle is not None:
                 cand = (gain - 2, 2, (q, idle), ("evict", q, idle))
@@ -299,22 +286,16 @@ def _greedy_migrations(wadj, active, proposal, assignment: Assignment,
                     best = cand
         if best is None or best[0] <= 0:
             break
-        _, _, _, action = best
-        if action[0] == "single":
-            _, q, dst = action
-            slot = free[dst].pop(rng.randrange(len(free[dst])))
-            src = assignment.placement[q]
-            bisect.insort(free[src[0]], src[1])
-            assignment.placement[q] = (dst, slot)
-            cur[q] = dst
-            migrations.append(Migration(q, src, (dst, slot)))
+        kind, q, r = best[3]  # r: a single's destination QPU, else q's partner
+        if kind == "single":
+            free[cur[q]] += 1
+            free[r] -= 1
+            migrations.append(Migration(q, cur[q], r, kind))
+            cur[q] = r
         else:
-            _, q, r = action
-            sq, sr = assignment.placement[q], assignment.placement[r]
-            assignment.placement[q], assignment.placement[r] = sr, sq
+            migrations.append(Migration(q, cur[q], cur[r], kind))
+            migrations.append(Migration(r, cur[r], cur[q], kind))
             cur[q], cur[r] = cur[r], cur[q]
-            migrations.append(Migration(q, sq, sr))
-            migrations.append(Migration(r, sr, sq))
     return migrations
 
 

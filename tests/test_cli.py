@@ -170,6 +170,18 @@ def test_bench_full_corpus_reproduces_recorded_baselines(tmp_path):
         assert recs[name]["base_total_2q"] == baseline["total_2q"]
         assert recs[name]["base_interqpu_trivial"] == baseline["interqpu_trivial"]
         assert recs[name]["num_qubits"] == baseline["num_qubits"]
+    recorded = {name for name, r in recs.items() if r["baseline"] == "recorded"}
+    assert len(recs) == 17 and recorded == {"adder_8", "qft_4"}
+
+
+def test_bench_baseline_needs_the_published_counts_not_the_name(tmp_path, capsys):
+    small = tmp_path / "corpus"
+    small.mkdir()
+    (small / "tof_3.qasm").write_text(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[1];\n')
+    assert main(["bench", str(small)]) == 0
+    out = capsys.readouterr().out
+    assert "tof_3: base 1/1" in out and "baseline recorded" in out
 
 
 def test_bench_empty_corpus_exit_1(tmp_path):

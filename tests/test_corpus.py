@@ -42,12 +42,10 @@ def test_recorded_baselines_consistent_with_files():
 
 
 def test_count_verified_reconstructions_match_paper():
-    for name, paper in corpusgen.PUBLISHED_BASELINES.items():
-        rec = corpusgen.recorded_baseline(name)
-        if corpusgen.verified_reconstruction(name):
-            assert rec["matches_published"], (name, rec, paper)
-        else:
-            assert name in corpusgen.RECONSTRUCTED_DIFFERENT
+    differ = {name for name in corpusgen.PUBLISHED_BASELINES
+              if not corpusgen.recorded_baseline(name)["matches_published"]}
+    # the structural reconstructions documented in corpus/README.md
+    assert differ == {"adder_8", "qft_4"}
 
 
 def _gf_reference(k, a, b):

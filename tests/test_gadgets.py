@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from dqcc import (Circuit, Gate, GateKind, decompose_to_basis,
+from dqcc import (Circuit, Gate, GateKind, corpusgen, decompose_to_basis,
                   default_hardware, equivalence_report, equivalent, global_assign,
                   local_optimize, parse_qasm, schedule_asap, simulate)
 from dqcc.bench import compile_circuit
 from dqcc.gadgets import (GadgetError, cross_qpu_violations, epr_prepare, expand_exchange,
                           expand_program, expand_remote_cnot, expand_teleport)
 from dqcc.hardware import HardwareSpec, QPU
+from dqcc.mapper import MappedProgram, Migration, WindowPlan
 
 from conftest import corpus_text
 
@@ -217,20 +218,20 @@ def test_exchange_with_any_correction_dropped_or_flipped_is_refuted():
 
 # -- expand_program ---------------------------------------------------------------
 
-def _mapped(name, dt=200.0, seed=0, hw=None):
+def _mapped(name, dt=200.0, hw=None):
     circuit = decompose_to_basis(parse_qasm(corpus_text(name)))
     hw = hw or default_hardware(circuit.num_qubits)
     sched = schedule_asap(circuit, hw.durations)
-    init = global_assign(circuit, hw, seed)
-    return circuit, hw, local_optimize(sched, init, dt, seed)
+    init = global_assign(circuit, hw)
+    return circuit, hw, local_optimize(sched, init, hw, dt)
 
 
 def test_expand_single_remote_cx_contains_three_cx():
     c = Circuit(2).cx(0, 1)
     hw = default_hardware(2)  # one data qubit per QPU: the cx must go remote
     sched = schedule_asap(c, hw.durations)
-    init = global_assign(c, hw, 0)
-    mp = local_optimize(sched, init, 200.0, 0)
+    init = global_assign(c, hw)
+    mp = local_optimize(sched, init, hw, 200.0)
     assert mp.remote_count == 1
     exp = expand_program(mp)
     assert sum(g.kind == GateKind.CX for g in exp.circuit.gates) == 3
@@ -241,8 +242,8 @@ def test_expand_no_remote_ops_is_identity_transformation():
     c = Circuit(4).cx(0, 1).h(2).cx(2, 3)
     hw = default_hardware(4)
     sched = schedule_asap(c, hw.durations)
-    init = global_assign(c, hw, 0)
-    mp = local_optimize(sched, init, 200.0, 0)
+    init = global_assign(c, hw)
+    mp = local_optimize(sched, init, hw, 200.0)
     assert mp.inter_qpu_total == 0
     exp = expand_program(mp)
     assert [g.kind for g in exp.circuit.gates] == [g.kind for g in c.gates]
@@ -296,8 +297,8 @@ def test_exchange_migrations_expand_and_verify():
     hw = HardwareSpec([QPU("qpu0", 2, 2), QPU("qpu1", 2, 2)], 2)
     dec = decompose_to_basis(c)
     sched = schedule_asap(dec, hw.durations)
-    init = global_assign(dec, hw, 0)
-    mp = local_optimize(sched, init, 200.0, 0)
+    init = global_assign(dec, hw)
+    mp = local_optimize(sched, init, hw, 200.0)
     assert mp.teleport_count == 2 and mp.remote_count == 0
     exp = expand_program(mp)
     assert cross_qpu_violations(exp.circuit, hw) == []
@@ -335,19 +336,57 @@ def test_one_epr_slot_plan_verifies():
     assert rep.equivalent, rep.detail
 
 
+def test_opposite_single_moves_expand_to_two_teleports():
+    # q0 leaves QPU 0 for a spare slot on QPU 1, then q2 moves the other
+    # way: opposite moves, but not the halves of an exchange
+    c = Circuit(3).h(0).h(2).cx(2, 1)  # local once q2 has joined q1
+    hw = HardwareSpec([QPU("qpu0", 2, 1), QPU("qpu1", 3, 1)], 1)
+    mp = MappedProgram(c, hw, 200.0, [
+        WindowPlan([Migration(0, 0, 1, "single"), Migration(2, 1, 0, "single")],
+                   [0, 1, 2], [])], [0, 0, 1], [1, 0, 0], 0)
+    exp = expand_program(mp)
+    # q0 and q1 fill QPU 0's data wires 0 and 1, q2 takes QPU 1's first
+    # (wire 3); q0 takes the lower of QPU 1's free wires 4 and 5, then q2
+    # the wire 0 that q0 left
+    assert exp.in_wires == {0: 0, 1: 1, 2: 3}
+    assert exp.out_wires == {0: 4, 1: 1, 2: 0}
+    assert exp.epr_events == 2
+    assert cross_qpu_violations(exp.circuit, hw) == []
+    rep = equivalence_report(c, exp.circuit, tol=1e-9, candidate_in_wires=[0, 1, 3],
+                             candidate_out_wires=[4, 1, 0])
+    assert rep.equivalent, rep.detail
+
+
+@pytest.mark.parametrize("dt", [16.0, 8.0])
+def test_slots_follow_the_lowest_free_slot_rule(dt):
+    for name in sorted(corpusgen.BUILDERS):
+        circuit = parse_qasm(corpus_text(name))
+        result = compile_circuit(circuit, None, dt, 0)
+        mp, exp, hw = result.mapped, result.expanded, result.hw
+        for p in range(len(hw.qpus)):
+            members = [q for q, qpu in enumerate(mp.initial) if qpu == p]
+            assert [exp.in_wires[q] for q in members] == [
+                hw.data_wire(p, slot) for slot in range(len(members))]
+        outs = [exp.out_wires[q] for q in range(circuit.num_qubits)]
+        assert len(set(outs)) == len(outs), name
+        assert [hw.qpu_of_wire(w) for w in outs] == mp.final, name
+        assert not any(hw.is_epr_wire(w) for w in outs), name
+
+
 def test_teleporting_corpus_plans_verify():
     # Short windows make the small corpus circuits teleport (at the default
     # dt none of them does), so the oracle referees real migration plans,
     # pairwise exchanges included.
     failures, teleporting, exchanging = [], [], []
-    for name in ("tof_3", "tof_4", "barenco_tof_3", "barenco_tof_4", "mod5_4", "qft_4"):
+    for name in ("tof_3", "tof_4", "tof_5", "barenco_tof_3", "barenco_tof_4",
+                 "barenco_tof_5", "mod5_4", "qft_4", "grover_5"):
         for dt in (16.0, 8.0):
             circuit = parse_qasm(corpus_text(name))
             result = compile_circuit(circuit, None, dt, 0)
             migrations = [m for w in result.mapped.windows for m in w.migrations]
             if migrations:
                 teleporting.append((name, dt))
-            if any(a.src == b.dst and a.dst == b.src for a in migrations for b in migrations):
+            if any(m.kind != "single" for m in migrations):
                 exchanging.append((name, dt))
             exp = result.expanded
             rep = equivalence_report(
@@ -357,7 +396,9 @@ def test_teleporting_corpus_plans_verify():
             if not rep.equivalent:
                 failures.append((name, dt, rep.detail))
     assert failures == []
-    assert teleporting and exchanging
+    assert {(name, dt) for name in ("tof_5", "barenco_tof_5", "grover_5")
+            for dt in (16.0, 8.0)} <= set(teleporting)
+    assert exchanging
 
 
 def test_throttle_flags_overconsumption():

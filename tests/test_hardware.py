@@ -63,8 +63,12 @@ def test_spec_lookups_reject_unknown_slots():
         hw.data_wire(0, 3)
     with pytest.raises(HardwareError):
         hw.epr_wire(1, 2)
-    with pytest.raises(HardwareError):
-        hw.qpu_of_wire(hw.total_wires)
+    for wire in (-1, hw.total_wires):
+        with pytest.raises(HardwareError):
+            hw.qpu_of_wire(wire)
+    # QPU 0's three data wires and two EPR wires, then QPU 1's
+    assert [hw.qpu_of_wire(w) for w in range(10)] == [0] * 5 + [1] * 5
+    assert [hw.is_epr_wire(w) for w in range(10)] == ([False] * 3 + [True] * 2) * 2
 
 
 # -- loader ---------------------------------------------------------------------
