@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class GateKind(str, Enum):
@@ -231,18 +231,7 @@ def count_two_qubit(circuit: Circuit) -> int:
     return sum(1 for g in circuit.gates if g.kind == GateKind.CX)
 
 
-def count_inter_qpu(circuit: Circuit, qpu_of: Sequence[int] | Mapping[int, int]) -> int:
-    """cx gates whose operands resolve to different QPUs."""
-    def lookup(q: int) -> int:
-        v = qpu_of[q]
-        if v is None:
-            raise CircuitError(f"qubit {q} has no QPU assignment")
-        return v
-
-    n = 0
-    for g in circuit.gates:
-        if g.kind == GateKind.CX:
-            a, b = g.qubits
-            if lookup(a) != lookup(b):
-                n += 1
-    return n
+def count_inter_qpu(circuit: Circuit, qpu_of: Sequence[int]) -> int:
+    """cx gates whose operands are on different QPUs; `qpu_of[q]` is q's QPU."""
+    return sum(1 for g in circuit.gates
+               if g.kind == GateKind.CX and qpu_of[g.qubits[0]] != qpu_of[g.qubits[1]])

@@ -12,9 +12,8 @@ import sys
 from pathlib import Path
 
 from .bench import (bench_circuit, compile_circuit, hardware_suitability,
-                    records_to_csv, REPORT_SCHEMA_VERSION)
+                    records_to_csv, REPORT_SCHEMA_VERSION, TABLE_OF_RECORD)
 from .circuits import count_two_qubit
-from .corpusgen import TABLE_OF_RECORD
 from .hardware import default_hardware, load_hardware_spec, HardwareError
 from .gadgets import GadgetError
 from .mapper import CapacityError

@@ -26,7 +26,7 @@ import numpy as np
 from .circuits import Circuit, GateKind, ScheduledCircuit, count_inter_qpu
 from .graphs import InteractionGraph, PartitionVector, circuit_graph, interaction_graph
 from .hardware import HardwareSpec
-from .partition import SizeSpec, cut_cost, kl_refine, spectral_partition
+from .partition import SizeSpec, cut_cost, kl_refine, move_gains, spectral_partition
 
 
 class CapacityError(ValueError):
@@ -63,20 +63,6 @@ def global_assign(circuit: Circuit, hw: HardwareSpec) -> list[int]:
     spec = SizeSpec(sizes)
     starts = [spectral_partition(graph, spec), _trivial_partition(n, sizes)]
     return [int(p) for p in _refined(graph, spec, starts).labels]
-
-
-def _move_gain(wadj: np.ndarray, qpus: list[int], q: int, dst: int) -> float:
-    """Remote gates saved minus remote gates created if q alone moves to dst."""
-    gain = 0.0
-    src = qpus[q]
-    row = wadj[q]
-    for r, w in enumerate(row):
-        if w == 0 or r == q:
-            continue
-        before = qpus[r] != src
-        after = qpus[r] != dst
-        gain += w * (int(before) - int(after))
-    return gain
 
 
 @dataclass
@@ -258,32 +244,26 @@ def _greedy_migrations(wadj, active, proposal, hw: HardwareSpec,
         movers = [q for q in active if proposal[q] != cur[q]]
         if not movers:
             break
-        best = None  # (net, order_rank, key, action)
+        # gain[q]: remote gates saved minus created if q alone changes QPU
+        gain = move_gains(wadj, cur)
+        cands = []  # (net, order_rank, qubits, action)
         for q in movers:
             dst = proposal[q]
-            gain = _move_gain(wadj, cur, q, dst)
             if free[dst]:
-                net = gain - 1
-                cand = (net, 0, (q,), ("single", q, dst))
-                if best is None or _better(cand, best):
-                    best = cand
+                cands.append((gain[q] - 1, 0, (q,), ("single", q, dst)))
             if hw.qpus[dst].epr_slots < 2:
                 continue  # an exchange uses two EPR slots on q's destination
             # pair with an opposite-direction mover
             for r in movers:
-                if r <= q or proposal[r] != cur[q] or cur[r] != dst:
-                    continue
-                joint = gain + _move_gain(wadj, cur, r, cur[q]) - 2 * wadj[q, r]
-                cand = (joint - 2, 1, (q, r), ("pair", q, r))
-                if best is None or _better(cand, best):
-                    best = cand
+                if r > q and cur[r] == dst:
+                    cands.append((gain[q] + gain[r] - 2 * wadj[q, r] - 2, 1, (q, r),
+                                  ("pair", q, r)))
             # pair with the lowest-numbered idle resident of the target QPU
             idle = min((r for r, p in enumerate(cur) if p == dst and r not in active_set),
                        default=None)
             if idle is not None:
-                cand = (gain - 2, 2, (q, idle), ("evict", q, idle))
-                if best is None or _better(cand, best):
-                    best = cand
+                cands.append((gain[q] - 2, 2, (q, idle), ("evict", q, idle)))
+        best = min(cands, key=lambda c: (-c[0], c[1], c[2]), default=None)
         if best is None or best[0] <= 0:
             break
         kind, q, r = best[3]  # r: a single's destination QPU, else q's partner
@@ -297,11 +277,3 @@ def _greedy_migrations(wadj, active, proposal, hw: HardwareSpec,
             migrations.append(Migration(r, cur[r], cur[q], kind))
             cur[q], cur[r] = cur[r], cur[q]
     return migrations
-
-
-def _better(cand, best) -> bool:
-    if cand[0] != best[0]:
-        return cand[0] > best[0]
-    if cand[1] != best[1]:
-        return cand[1] < best[1]
-    return cand[2] < best[2]

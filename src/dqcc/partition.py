@@ -67,6 +67,14 @@ def spectral_partition(graph: InteractionGraph, spec: SizeSpec) -> PartitionVect
     return PartitionVector(_bisect_sorted(graph, spec, order), 2)
 
 
+def move_gains(w: np.ndarray, labels) -> np.ndarray:
+    """Kernighan-Lin's D value of every vertex of a bipartition: the weight
+    to the other side minus the weight to its own, which is the cut weight
+    saved by moving that vertex alone across."""
+    sign = 2.0 * np.asarray(labels) - 1
+    return -sign * (w @ sign)
+
+
 def _kl_pass_two(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
     """One classic KL pass on a bipartition: repeatedly pick the best unlocked
     swap by gain, lock the pair, then keep the best prefix. Returns the new
@@ -83,9 +91,7 @@ def _kl_pass_two(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
     steps = min(np.count_nonzero(rows), np.count_nonzero(cols))
     if not steps:
         return side, 0.0
-    # D[v] = external - internal connection weight
-    sign = 2.0 * side - 1
-    d = -sign * (w @ sign)
+    d = move_gains(w, side)
     gain = np.where(rows[:, None] & cols, d[:, None] + d - 2 * w, -np.inf)
     swaps: list[tuple[int, int]] = []
     gains: list[float] = []

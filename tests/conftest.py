@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,11 @@ import pytest
 
 from dqcc.circuits import GateKind
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_DIR = ROOT / "corpus"
+CORPUS_NAMES = sorted(p.stem for p in CORPUS_DIR.glob("*.qasm"))
+# scripts/make_corpus.py holds the corpus builders
+sys.path.insert(0, str(ROOT / "scripts"))
 
 
 @pytest.fixture(scope="session")

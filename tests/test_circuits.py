@@ -8,7 +8,7 @@ from dqcc import (Circuit, CircuitError, DurationModel, Gate, GateKind,
                   count_inter_qpu, count_two_qubit, decompose_to_basis,
                   parse_qasm, schedule_asap)
 
-from conftest import classical_run, corpus_text, same_up_to_phase, unitary_of
+from conftest import CORPUS_NAMES, classical_run, corpus_text, same_up_to_phase, unitary_of
 
 
 def test_gate_rejects_duplicate_operands():
@@ -82,9 +82,8 @@ def test_decompose_preserves_semantics_on_small_corpus():
 def test_decompose_preserves_semantics_on_all_small_corpus_circuits():
     # every corpus circuit of at most 10 qubits, via the statevector oracle
     from dqcc import simulate
-    from dqcc import corpusgen
     rng = np.random.default_rng(17)
-    for name in sorted(corpusgen.BUILDERS):
+    for name in CORPUS_NAMES:
         parsed = parse_qasm(corpus_text(name))
         if parsed.num_qubits > 10:
             continue

@@ -164,9 +164,9 @@ def test_bench_full_corpus_reproduces_recorded_baselines(tmp_path):
     assert main(["bench", str(CORPUS_DIR), "--report", str(report)]) == 0
     doc = json.loads(report.read_text())
     recs = {r["name"]: r for r in doc["circuits"]}
-    from dqcc.corpusgen import TABLE_OF_RECORD, recorded_baseline
-    for name in TABLE_OF_RECORD:
-        baseline = recorded_baseline(name)
+    baselines = json.loads((CORPUS_DIR / "baselines.json").read_text())["baselines"]
+    for name in bench.TABLE_OF_RECORD:
+        baseline = baselines[name]
         assert recs[name]["base_total_2q"] == baseline["total_2q"]
         assert recs[name]["base_interqpu_trivial"] == baseline["interqpu_trivial"]
         assert recs[name]["num_qubits"] == baseline["num_qubits"]

@@ -7,27 +7,18 @@ import numpy as np
 import pytest
 
 from dqcc import parse_qasm, count_inter_qpu, count_two_qubit, simulate
-from dqcc import corpusgen
+from dqcc.bench import PUBLISHED_BASELINES, TABLE_OF_RECORD, trivial_qpu_map
 
-from conftest import CORPUS_DIR, classical_run, corpus_text
-
-
-def test_every_builder_has_a_bundled_file():
-    for name in corpusgen.BUILDERS:
-        assert (CORPUS_DIR / f"{name}.qasm").exists()
+from conftest import CORPUS_DIR, CORPUS_NAMES, classical_run, corpus_text
+import make_corpus
 
 
 def test_write_corpus_rejects_text_that_does_not_round_trip(tmp_path, monkeypatch):
-    real = corpusgen.qasm_text
-    monkeypatch.setattr(corpusgen, "qasm_text",
-                        lambda name: real("tof_4") if name == "tof_3" else real(name))
+    real = make_corpus.qasm_text
+    monkeypatch.setattr(make_corpus, "qasm_text", lambda name, circuit, regs: (
+        corpus_text("tof_4") if name == "tof_3" else real(name, circuit, regs)))
     with pytest.raises(RuntimeError, match="tof_3"):
-        corpusgen.write_corpus(str(tmp_path))
-
-
-def test_bundled_files_match_builders():
-    for name in corpusgen.BUILDERS:
-        assert parse_qasm(corpus_text(name)) == corpusgen.build(name), name
+        make_corpus.write_corpus(str(tmp_path))
 
 
 def test_recorded_baselines_consistent_with_files():
@@ -37,20 +28,22 @@ def test_recorded_baselines_consistent_with_files():
         circuit = parse_qasm(corpus_text(name))
         assert circuit.num_qubits == rec["num_qubits"]
         assert count_two_qubit(circuit) == rec["total_2q"]
-        trivial = corpusgen.trivial_qpu_map(circuit.num_qubits)
+        trivial = trivial_qpu_map(circuit.num_qubits)
         assert count_inter_qpu(circuit, trivial) == rec["interqpu_trivial"]
 
 
 def test_count_verified_reconstructions_match_paper():
-    differ = {name for name in corpusgen.PUBLISHED_BASELINES
-              if not corpusgen.recorded_baseline(name)["matches_published"]}
+    baselines = json.loads((CORPUS_DIR / "baselines.json").read_text())["baselines"]
+    differ = {name for name, rec in baselines.items()
+              if (rec["num_qubits"], rec["total_2q"], rec["interqpu_trivial"])
+              != PUBLISHED_BASELINES[name]}
     # the structural reconstructions documented in corpus/README.md
     assert differ == {"adder_8", "qft_4"}
 
 
 def _gf_reference(k, a, b):
     poly = (1 << k) | 1
-    for e in corpusgen._GF_POLY_MIDDLE[k]:
+    for e in make_corpus._GF_POLY_MIDDLE[k]:
         poly |= 1 << e
     prod = 0
     for j in range(k):
@@ -64,7 +57,7 @@ def _gf_reference(k, a, b):
 
 @pytest.mark.parametrize("k", [4, 6, 7, 8, 10])
 def test_gf_multiplier_products(k):
-    circ = corpusgen.build_raw(f"gf2_{k}_mult")
+    circ = make_corpus.gf_mult(k)[0]
     rng = random.Random(k)
     for _ in range(20):
         a, b = rng.randrange(1 << k), rng.randrange(1 << k)
@@ -79,7 +72,7 @@ def test_gf_multiplier_products(k):
 
 
 def test_adder_8_adds_mod_256():
-    circ = corpusgen.build_raw("adder_8")
+    circ = make_corpus.adder_8()[0]
     rng = random.Random(99)
     for _ in range(40):
         a, b = rng.randrange(256), rng.randrange(256)
@@ -93,8 +86,8 @@ def test_adder_8_adds_mod_256():
         assert all(out[16 + i] == 0 for i in range(8))
 
 
-@pytest.mark.parametrize("family,builder", [("tof", corpusgen.tof_chain),
-                                            ("barenco_tof", corpusgen.barenco_tof)])
+@pytest.mark.parametrize("family,builder", [("tof", make_corpus.tof_chain),
+                                            ("barenco_tof", make_corpus.barenco_tof)])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_multiply_controlled_not_families(family, builder, n):
     circ = builder(n)[0]
@@ -108,7 +101,7 @@ def test_multiply_controlled_not_families(family, builder, n):
 
 
 def test_barenco_network_tolerates_dirty_ancillas():
-    circ = corpusgen.barenco_tof(4)[0]
+    circ = make_corpus.barenco_tof(4)[0]
     for ctrl in range(16):
         for anc in range(4):
             bits = [0] * 7
@@ -122,7 +115,7 @@ def test_barenco_network_tolerates_dirty_ancillas():
 
 
 def test_grover_amplifies_marked_state():
-    circ = corpusgen.build("grover_5")
+    circ = parse_qasm(corpus_text("grover_5"))
     (branch,) = simulate(circ)
     tensor = branch.state[:, 0].reshape((2,) * 9)
     idx = tuple((0b10101 >> q) & 1 for q in range(5))
@@ -133,11 +126,15 @@ def test_grover_amplifies_marked_state():
 
 
 def test_table1_suite_membership():
-    assert set(corpusgen.TABLE_OF_RECORD) <= set(corpusgen.BUILDERS)
-    assert len(corpusgen.TABLE_OF_RECORD) == 6
+    assert set(TABLE_OF_RECORD) <= set(CORPUS_NAMES)
+    assert len(TABLE_OF_RECORD) == 6
 
 
 def test_corpus_regeneration_is_stable(tmp_path):
-    corpusgen.write_corpus(tmp_path)
-    for name in corpusgen.BUILDERS:
-        assert (tmp_path / f"{name}.qasm").read_text() == corpus_text(name)
+    # builders -> files and baselines.json, byte for byte; the baselines
+    # tests above tie baselines.json to the files and the published counts
+    make_corpus.write_corpus(tmp_path)
+    assert sorted(make_corpus.BUILDERS) == CORPUS_NAMES
+    for name in CORPUS_NAMES:
+        assert (tmp_path / f"{name}.qasm").read_text() == corpus_text(name), name
+    assert (tmp_path / "baselines.json").read_text() == (CORPUS_DIR / "baselines.json").read_text()

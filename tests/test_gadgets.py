@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dqcc import (Circuit, Gate, GateKind, corpusgen, decompose_to_basis,
+from dqcc import (Circuit, Gate, GateKind, decompose_to_basis,
                   default_hardware, equivalence_report, equivalent, global_assign,
                   local_optimize, parse_qasm, schedule_asap, simulate)
 from dqcc.bench import compile_circuit
@@ -13,7 +13,7 @@ from dqcc.gadgets import (GadgetError, cross_qpu_violations, epr_prepare, expand
 from dqcc.hardware import HardwareSpec, QPU
 from dqcc.mapper import MappedProgram, Migration, WindowPlan
 
-from conftest import corpus_text
+from conftest import CORPUS_NAMES, corpus_text
 
 
 def remote_cnot_circuit():
@@ -359,7 +359,7 @@ def test_opposite_single_moves_expand_to_two_teleports():
 
 @pytest.mark.parametrize("dt", [16.0, 8.0])
 def test_slots_follow_the_lowest_free_slot_rule(dt):
-    for name in sorted(corpusgen.BUILDERS):
+    for name in CORPUS_NAMES:
         circuit = parse_qasm(corpus_text(name))
         result = compile_circuit(circuit, None, dt, 0)
         mp, exp, hw = result.mapped, result.expanded, result.hw

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqcc import (Circuit, DurationModel, corpusgen, count_inter_qpu,
+from dqcc import (Circuit, DurationModel, count_inter_qpu,
                   decompose_to_basis, default_hardware, emit_qasm, global_assign,
                   interaction_graph, local_optimize, parse_qasm, schedule_asap)
 from dqcc.bench import compile_circuit
 from dqcc.circuits import GateKind
 from dqcc.hardware import HardwareSpec, QPU
 from dqcc.mapper import (CapacityError, _a_move_can_pay, _bucket_gates,
-                         _greedy_migrations, _move_gain, _remote_indices)
+                         _greedy_migrations, _remote_indices)
+from dqcc.partition import move_gains
 
 from conftest import corpus_text
+import make_corpus
 
 
 def hw_two(cap, epr=2, channels=2):
@@ -104,7 +106,7 @@ def test_windows_reject_non_positive_dt():
             _bucket_gates(sched, dt)
 
 
-# -- _move_gain --------------------------------------------------------------
+# -- move_gains ---------------------------------------------------------------
 
 @pytest.mark.parametrize("remote_edges, local_edges, gain", [
     (3, 0, 3),   # every remote gate to qubit 1 becomes local
@@ -118,7 +120,7 @@ def test_move_gain_star(remote_edges, local_edges, gain):
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = remote_edges
     w[0, 2] = w[2, 0] = local_edges
-    assert _move_gain(w, {0: 0, 1: 1, 2: 0}, 0, 1) == gain
+    assert move_gains(w, [0, 1, 0])[0] == gain
 
 
 # -- the partitioning rule -----------------------------------------------------
@@ -319,9 +321,9 @@ GOLDEN = [
 
 def golden_circuit(name):
     if name == "tof_chain_40":
-        return corpusgen.tof_chain(40)[0]
+        return make_corpus.tof_chain(40)[0]
     if name == "barenco_tof_60":
-        return corpusgen.barenco_tof(60)[0]
+        return make_corpus.barenco_tof(60)[0]
     return parse_qasm(corpus_text(name))
 
 

@@ -4,7 +4,7 @@ import pytest
 from dqcc import (InteractionGraph, PartitionVector, SizeSpec, cut_cost,
                   exact_min_cut, kl_refine, spectral_partition)
 from dqcc import partition
-from dqcc.partition import PartitionError, _kl_pass_two
+from dqcc.partition import PartitionError, _kl_pass_two, move_gains
 
 from test_graphs import complete, two_triangles_with_bridge
 
@@ -176,6 +176,29 @@ def test_kl_pass_matches_reference(max_weight):
         ref_labels, ref_gain = reference_kl_pass_two(w, labels)
         assert np.array_equal(got_labels, ref_labels)
         assert got_gain == ref_gain
+
+
+def reference_move_gain(w, labels, q):
+    """The per-row loop that `move_gains` replaces: cut weight saved minus
+    cut weight created if q alone moves to the other side."""
+    gain = 0.0
+    src, dst = labels[q], 1 - labels[q]
+    for r, x in enumerate(w[q]):
+        if x == 0 or r == q:
+            continue
+        gain += x * (int(labels[r] != src) - int(labels[r] != dst))
+    return gain
+
+
+@pytest.mark.parametrize("max_weight", [1, 5])
+def test_move_gains_match_per_vertex_loop(max_weight):
+    rng = np.random.default_rng(100 + max_weight)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        w, labels = random_instance(rng, n, max_weight)
+        labels = labels.tolist()  # the mapper passes its QPU map as a list
+        assert move_gains(w, labels).tolist() == [
+            reference_move_gain(w, labels, q) for q in range(n)]
 
 
 def test_kl_refine_matches_reference_pass(monkeypatch):
