@@ -17,7 +17,7 @@ from .hardware import HardwareSpec, QPU, default_hardware, load_hardware_spec
 from .mapper import CapacityError, MappedProgram, global_assign, local_optimize
 from .gadgets import (ExpandedProgram, epr_prepare, expand_program,
                       expand_remote_cnot, expand_teleport)
-from .sim import BranchState, SimulationError, equivalent, equivalence_report, simulate
+from .sim import BranchState, SimulationError, equivalence_report, simulate
 
 __version__ = "0.1.0"
 
@@ -33,5 +33,5 @@ __all__ = [
     "CapacityError", "MappedProgram", "global_assign", "local_optimize",
     "ExpandedProgram", "epr_prepare", "expand_program",
     "expand_remote_cnot", "expand_teleport",
-    "BranchState", "SimulationError", "equivalent", "equivalence_report", "simulate",
+    "BranchState", "SimulationError", "equivalence_report", "simulate",
 ]

@@ -118,17 +118,13 @@ class MappedProgram:
 
 def _orient_to_incumbent(labels: np.ndarray, active: list[int],
                          cur: list[int], avail: tuple[int, int]) -> np.ndarray:
-    """Pick the labeling orientation (as-is or mirrored) that fits capacity
-    and disagrees with the incumbent on fewer qubits; ties keep as-is."""
+    """`labels` fits the capacities `avail`. Mirror it if the mirror fits
+    too and disagrees with the incumbent on fewer qubits; ties keep as-is."""
     mirrored = 1 - labels
-    def fits(lbl):
-        return (int(np.sum(lbl == 0)) <= avail[0]) and (int(np.sum(lbl == 1)) <= avail[1])
     def moves(lbl):
         return sum(1 for i, q in enumerate(active) if lbl[i] != cur[q])
-    if not fits(mirrored):
+    if int(np.sum(mirrored == 0)) > avail[0] or int(np.sum(mirrored == 1)) > avail[1]:
         return labels
-    if not fits(labels):
-        return mirrored
     return mirrored if moves(mirrored) < moves(labels) else labels
 
 
@@ -222,10 +218,7 @@ def _window_proposal(wadj, active, cur, caps) -> dict[int, int]:
     sub = InteractionGraph(wadj[np.ix_(active, active)])
     spec = SizeSpec(caps)
     incumbent = PartitionVector(np.array([cur[q] for q in active]), 2)
-    starts = [incumbent]
-    if sub.n >= 2:
-        starts.append(spectral_partition(sub, spec))
-    best = _refined(sub, spec, starts)
+    best = _refined(sub, spec, [incumbent, spectral_partition(sub, spec)])
     labels = _orient_to_incumbent(best.labels, active, cur, caps)
     return {q: int(labels[i]) for i, q in enumerate(active)}
 

@@ -67,7 +67,7 @@ def _one_qubit_matrix(kind, params):
     if kind == GateKind.RX:
         th = params[0]
         c, s = math.cos(th / 2), math.sin(th / 2)
-        return np.array([[c, 1j * s], [1j * s, c]])
+        return np.array([[c, -1j * s], [-1j * s, c]])
     raise ValueError(kind)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dqcc import (Circuit, Gate, GateKind, decompose_to_basis,
-                  default_hardware, equivalence_report, equivalent, global_assign,
+                  default_hardware, equivalence_report, global_assign,
                   local_optimize, parse_qasm, schedule_asap, simulate)
 from dqcc.bench import compile_circuit
 from dqcc.gadgets import (GadgetError, cross_qpu_violations, epr_prepare, expand_exchange,
@@ -84,8 +84,8 @@ def test_remote_cnot_identity_on_zero_control():
     psi[0b00] = 0.8
     ideal = Circuit(2)  # identity when control is |0>
     # embed: data on wires 0,1; the equivalence driver checks every branch
-    assert equivalent(Circuit(2).cx(0, 1), remote_cnot_circuit(),
-                      candidate_in_wires=[0, 1], candidate_out_wires=[0, 1])
+    assert equivalence_report(Circuit(2).cx(0, 1), remote_cnot_circuit(),
+                              candidate_in_wires=[0, 1], candidate_out_wires=[0, 1]).equivalent
     branches = simulate(remote_cnot_circuit(), initial=0b0100)
     for b in branches:
         nz = np.nonzero(np.abs(b.state[:, 0]) > 1e-9)[0]
@@ -174,7 +174,7 @@ def test_remote_cnot_with_cc_z_turned_into_cc_x_is_refuted():
 
 def test_teleport_with_a_dropped_correction_is_refuted():
     def report(circuit):
-        return equivalence_report(Circuit(1), circuit, data_qubits=[0],
+        return equivalence_report(Circuit(1), circuit,
                                   candidate_in_wires=[0], candidate_out_wires=[1])
 
     assert report(teleport_circuit()).equivalent

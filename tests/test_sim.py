@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqcc import Circuit, equivalent, simulate, sim
+from dqcc import Circuit, simulate, sim
 from dqcc.gadgets import epr_prepare, expand_remote_cnot, expand_teleport
 from dqcc.sim import (SimulationError, _Runner, _column_blocks, _view, _embed_columns,
-                      equivalence_report, spanning_inputs, trim_idle_wires)
+                      _extract_columns, _wire_block, equivalence_report, spanning_inputs,
+                      trim_idle_wires)
 
 from conftest import unitary_of
 
@@ -60,12 +61,12 @@ def test_equivalent_cx_vs_gadget():
         gadget.append(g)
     for g in expand_remote_cnot(0, 1, (2, 3), (0, 1)):
         gadget.append(g)
-    assert equivalent(Circuit(2).cx(0, 1), gadget,
-                      candidate_in_wires=[0, 1], candidate_out_wires=[0, 1])
+    assert equivalence_report(Circuit(2).cx(0, 1), gadget,
+                              candidate_in_wires=[0, 1], candidate_out_wires=[0, 1]).equivalent
 
 
 def test_equivalent_cx_vs_identity_false():
-    assert not equivalent(Circuit(2).cx(0, 1), Circuit(2))
+    assert not equivalence_report(Circuit(2).cx(0, 1), Circuit(2)).equivalent
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 1.0])
@@ -77,8 +78,21 @@ def test_tolerance_outside_unit_interval_rejected(tol):
 def test_equivalent_detects_phase_errors():
     # identical on basis states, different on superpositions
     cand = Circuit(2).cx(0, 1).rz(0, 0.3)
-    assert not equivalent(Circuit(2).cx(0, 1), cand)
+    assert not equivalence_report(Circuit(2).cx(0, 1), cand).equivalent
 
+
+
+@pytest.mark.parametrize("theta", [0.7, -1.3, math.pi / 2, 2.9])
+def test_rx_is_h_rz_h(theta):
+    # qelib1.inc: rx(theta) = exp(-i theta X / 2) = h rz(theta) h
+    rep = equivalence_report(Circuit(1).rx(0, theta), Circuit(1).h(0).rz(0, theta).h(0))
+    assert rep.equivalent, rep.detail
+
+
+def test_rx_quarter_turn_amplitudes():
+    (br,) = simulate(Circuit(1).rx(0, math.pi / 2))
+    r2 = 1 / math.sqrt(2)
+    assert np.allclose(br.state[:, 0], [r2, -1j * r2], rtol=0, atol=1e-15)
 
 def test_norm_preserved_and_probabilities_sum_to_one():
     c = Circuit(3, 2)
@@ -138,6 +152,31 @@ def test_spanning_inputs_shape_and_products():
     r2 = 1 / math.sqrt(2)
     assert np.allclose(cols[:, 6], [r2 * r2, r2 * r2, r2 * r2, r2 * r2])  # |++>
 
+
+
+def test_wire_block_orders_axes_by_the_given_wires():
+    # A 3-cycle order: for two wires, a transpose by argsort instead of by
+    # rank would still pass.
+    rng = np.random.default_rng(5)
+    n, wires = 5, [4, 0, 2]
+    cols = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+    state = _embed_columns(cols, n, wires)
+    block = _wire_block(state, n, wires)
+    assert block.shape == (2, 2, 2, 4)
+    for j in range(8):
+        bits = [(j >> (2 - i)) & 1 for i in range(3)]  # bits[i] is on wires[i]
+        index = sum(b << (n - 1 - w) for w, b in zip(wires, bits))  # wire 0 is the MSB
+        assert np.array_equal(state[index], cols[j])
+        assert np.array_equal(block[tuple(bits)], cols[j])
+    assert np.count_nonzero(state) == cols.size
+    reduced, resid, total = _extract_columns(state, n, wires)
+    assert np.array_equal(reduced, cols)
+    # The two masses sum the same squares in another order.
+    assert np.allclose(resid, 0, rtol=0, atol=1e-14)
+    assert np.allclose(total, np.sum(np.abs(cols) ** 2, axis=0), rtol=1e-15)
+    state[1 << (n - 1 - 1), 2] = 0.5  # wire 1, outside the block, holds 1
+    _, resid, _ = _extract_columns(state, n, wires)
+    assert np.allclose(resid, [0, 0, 0.25, 0], rtol=0, atol=1e-14)
 
 def test_trim_idle_wires():
     c = Circuit(5).h(1).cx(1, 3)
