@@ -9,8 +9,10 @@ compiled circuits tractable.
 
 Each branch also tracks the wires known to be in a computational basis state
 (EPR reservoir slots spend most of a compiled circuit in |0>). Amplitudes off
-that slice are exactly zero, so every gate, projection and overlap works on
-the slice alone.
+that slice are exactly zero, so a branch stores the slice alone, one axis per
+other wire; a gate that takes a fixed wire out of its basis state widens the
+slice by that wire. `simulate` and the equivalence check read the dense state
+back from the slice.
 
 The equivalence check splits its input columns into contiguous blocks by
 problem size and runs them on threads, one per usable CPU at most.
@@ -49,12 +51,14 @@ _PHASES = {GateKind.Z: (1, -1), GateKind.S: (1, 1j), GateKind.SDG: (1, -1j),
 
 @dataclass
 class BranchState:
-    """One measurement branch. `state` is unnormalized: its squared norm is
-    the branch probability (per input column in batched mode), which
-    `probability` caches. `fixed` maps wires known to be in a computational
-    basis state to that value: every amplitude off the slice where each of
-    them holds its value is exactly zero, so gates work on that slice only."""
-    state: np.ndarray          # shape (2**n, batch)
+    """One measurement branch. `fixed` maps wires known to be in a
+    computational basis state to that value. Every amplitude off the slice
+    where each of them holds its value is exactly zero, so `state` stores
+    that slice alone: one axis per other wire, in wire order, then the batch
+    axis (`simulate` hands branches back with `state` dense, (2**n, batch)).
+    `state` is unnormalized: its squared norm is the branch probability (per
+    input column in batched mode), which `probability` caches."""
+    state: np.ndarray          # shape (2,) * (n - len(fixed)) + (batch,)
     bits: dict[int, int] = field(default_factory=dict)
     fixed: dict[int, int] = field(default_factory=dict)
     probability: np.ndarray | None = None
@@ -75,23 +79,43 @@ def _mass(block: np.ndarray) -> np.ndarray:
 
 
 def _view(state: np.ndarray, n: int, fixed: dict[int, int]) -> np.ndarray:
-    """The slice of `state` where each wire in `fixed` holds its value: a view
-    with one axis per other wire, in wire order, then the batch axis."""
+    """The slice of a dense `state` where each wire in `fixed` holds its
+    value: a view with one axis per other wire, in wire order, then the
+    batch axis."""
     idx: list = [slice(None)] * (n + 1)
     for axis, val in fixed.items():
         idx[axis] = val
     return state.reshape((2,) * n + (-1,))[tuple(idx)]
 
 
-def _live(br: BranchState, n: int, extra: dict[int, int] | None = None) -> np.ndarray:
-    """The slice of `br` outside which every amplitude is zero, restricted
-    further by `extra` (values for wires that are not fixed)."""
-    return _view(br.state, n, {**br.fixed, **extra} if extra else br.fixed)
+def _live(br: BranchState, extra: dict[int, int] | None = None) -> np.ndarray:
+    """The stored slice of `br`, restricted further by `extra` (values for
+    wires that are not fixed). Wire w is axis w - #{fixed wires < w}."""
+    idx: list = [slice(None)] * br.state.ndim
+    for w, val in (extra or {}).items():
+        idx[w - sum(f < w for f in br.fixed)] = val
+    return br.state[tuple(idx)]
+
+
+def _unfix(br: BranchState, wires: list[int]) -> None:
+    """Turn the fixed `wires` back into axes of the stored slice, with zeros
+    where they take their other value."""
+    vals = {w: br.fixed.pop(w) for w in wires}
+    old = br.state
+    br.state = np.zeros((2,) * (old.ndim - 1 + len(vals)) + old.shape[-1:], dtype=complex)
+    _live(br, vals)[...] = old
+
+
+def _dense(br: BranchState, n: int) -> np.ndarray:
+    """The branch's (2**n, batch) state: its stored slice, zeros elsewhere."""
+    state = np.zeros((1 << n, br.state.shape[-1]), dtype=complex)
+    _view(state, n, br.fixed)[...] = br.state
+    return state
 
 
 def _basis_wires(state: np.ndarray, n: int) -> dict[int, int]:
-    """Wires whose 1-slice (else 0-slice) is exactly zero, with the value
-    they hold."""
+    """Wires whose 1-slice (else 0-slice) of a dense `state` is exactly
+    zero, with the value they hold."""
     fixed: dict[int, int] = {}
     for w in range(n):
         for val in (0, 1):
@@ -101,16 +125,17 @@ def _basis_wires(state: np.ndarray, n: int) -> dict[int, int]:
     return fixed
 
 
-def _unitary_1q(br: BranchState, n: int, q: int, u: np.ndarray) -> None:
+def _unitary_1q(br: BranchState, q: int, u: np.ndarray) -> None:
     """Dense single-qubit gate u on wire q, in place."""
-    val = br.fixed.pop(q, None)
+    val = br.fixed.get(q)
     if val is not None:
         # q leaves the fixed set; its other half was exactly zero.
-        a, other = _live(br, n, {q: val}), _live(br, n, {q: 1 - val})
+        _unfix(br, [q])
+        a, other = _live(br, {q: val}), _live(br, {q: 1 - val})
         np.multiply(a, u[1 - val, val], out=other)
         a *= u[val, val]
         return
-    a0, a1 = _live(br, n, {q: 0}), _live(br, n, {q: 1})
+    a0, a1 = _live(br, {q: 0}), _live(br, {q: 1})
     new0 = u[0, 0] * a0
     new0 += u[0, 1] * a1
     a1 *= u[1, 1]
@@ -118,21 +143,21 @@ def _unitary_1q(br: BranchState, n: int, q: int, u: np.ndarray) -> None:
     a0[...] = new0
 
 
-def _phase_1q(br: BranchState, n: int, q: int, d: tuple[complex, complex]) -> None:
+def _phase_1q(br: BranchState, q: int, d: tuple[complex, complex]) -> None:
     """Diagonal single-qubit gate diag(d) on wire q, in place."""
     val = br.fixed.get(q)
     if val is not None:
         if d[val] != 1:
-            a = _live(br, n)
+            a = _live(br)
             a *= d[val]
         return
     for bit in (0, 1):
         if d[bit] != 1:
-            a = _live(br, n, {q: bit})
+            a = _live(br, {q: bit})
             a *= d[bit]
 
 
-def _controlled_x(br: BranchState, n: int, t: int, controls: tuple[int, ...] = ()) -> None:
+def _controlled_x(br: BranchState, t: int, controls: tuple[int, ...] = ()) -> None:
     """X on wire t wherever every wire in `controls` is 1."""
     live = {}
     for c in controls:
@@ -141,45 +166,37 @@ def _controlled_x(br: BranchState, n: int, t: int, controls: tuple[int, ...] = (
             return  # a control fixed at 0: the gate does nothing
         if val is None:
             live[c] = 1  # a control fixed at 1 drops out
-    val = br.fixed.pop(t, None)
+    val = br.fixed.get(t)
     if val is None:
-        a0, a1 = _live(br, n, {**live, t: 0}), _live(br, n, {**live, t: 1})
+        a0, a1 = _live(br, {**live, t: 0}), _live(br, {**live, t: 1})
         tmp = a0.copy()
         a0[...] = a1
         a1[...] = tmp
-        return
-    # The target's other half is zero: move the controlled part across. The
-    # target stays fixed, flipped, only if every control was fixed.
-    src, dst = _live(br, n, {**live, t: val}), _live(br, n, {**live, t: 1 - val})
-    dst[...] = src
-    src.fill(0)
-    if not live:
-        br.fixed[t] = 1 - val
+    elif not live:
+        br.fixed[t] = 1 - val  # every control fixed at 1: the target flips
+    else:
+        # The target leaves the fixed set: move the controlled part across.
+        _unfix(br, [t])
+        src, dst = _live(br, {**live, t: val}), _live(br, {**live, t: 1 - val})
+        dst[...] = src
+        src.fill(0)
 
 
-def _measure(br: BranchState, n: int, q: int, b: int) -> list[BranchState]:
-    """Split `br` by the outcome of measuring wire q into bit b. Outcome 0
-    keeps the parent's buffer; only outcome 1 allocates."""
+def _measure(br: BranchState, q: int, b: int) -> list[BranchState]:
+    """Split `br` by the outcome of measuring wire q into bit b. Each kept
+    outcome stores a copy of its own half."""
     val = br.fixed.get(q)
     if val is not None:
         if np.max(br.probability) < PRUNE_TOL:
             return []
         br.bits = {**br.bits, b: val}
         return [br]
-    s0, s1 = _live(br, n, {q: 0}), _live(br, n, {q: 1})
-    m0, m1 = _mass(s0), _mass(s1)
-    keep0, keep1 = np.max(m0) >= PRUNE_TOL, np.max(m1) >= PRUNE_TOL
     out = []
-    if keep0:
-        out.append(BranchState(br.state, {**br.bits, b: 0}, {**br.fixed, q: 0}, m0))
-    if keep1:
-        state = br.state
-        if keep0:
-            state = np.zeros(br.state.shape, dtype=br.state.dtype)
-            _view(state, n, {**br.fixed, q: 1})[...] = s1
-        out.append(BranchState(state, {**br.bits, b: 1}, {**br.fixed, q: 1}, m1))
-    # Zero the half the parent's buffer no longer holds.
-    (s1 if keep0 else s0).fill(0)
+    for v in (0, 1):
+        half = _live(br, {q: v})
+        mass = _mass(half)
+        if np.max(mass) >= PRUNE_TOL:
+            out.append(BranchState(half.copy(), {**br.bits, b: v}, {**br.fixed, q: v}, mass))
     return out
 
 
@@ -216,15 +233,18 @@ class _Runner:
             arr = arr[:, None]
         if arr.shape[0] != dim:
             raise SimulationError(f"state has dimension {arr.shape[0]}, expected {dim}")
-        return arr.copy()
+        return arr
 
     def run(self, initial=None) -> list[BranchState]:
         return self.evolve(self.initial_state(initial))
 
     def evolve(self, state: np.ndarray) -> list[BranchState]:
-        """Run on `state` of shape (2**n, batch), which becomes the first
-        branch's buffer and is overwritten."""
-        branches = [BranchState(state, fixed=_basis_wires(state, self.n))]
+        """Run on the dense `state` of shape (2**n, batch), which is left
+        unchanged. The first branch copies its live slice and the dense input
+        is dropped before the first gate."""
+        fixed = _basis_wires(state, self.n)
+        branches = [BranchState(_view(state, self.n, fixed).copy(), fixed=fixed)]
+        del state
         for i, gate in enumerate(self.circuit.gates):
             branches = self._step(branches, gate)
             if self.merge and gate.kind in (GateKind.MEASURE, GateKind.CC_X, GateKind.CC_Z):
@@ -232,37 +252,36 @@ class _Runner:
         return branches
 
     def _step(self, branches: list[BranchState], gate: Gate) -> list[BranchState]:
-        n = self.n
         kind = gate.kind
         if kind == GateKind.BARRIER:
             return branches
         if kind == GateKind.MEASURE:
             return [child for br in branches
-                    for child in _measure(br, n, gate.qubits[0], gate.bits[0])]
+                    for child in _measure(br, gate.qubits[0], gate.bits[0])]
         for br in branches:
             if kind == GateKind.H:
-                _unitary_1q(br, n, gate.qubits[0], _H)
+                _unitary_1q(br, gate.qubits[0], _H)
             elif kind == GateKind.RX:
-                _unitary_1q(br, n, gate.qubits[0], _rx(gate.params[0]))
+                _unitary_1q(br, gate.qubits[0], _rx(gate.params[0]))
             elif kind == GateKind.RZ:
                 theta = gate.params[0]
-                _phase_1q(br, n, gate.qubits[0], (np.exp(-0.5j * theta), np.exp(0.5j * theta)))
+                _phase_1q(br, gate.qubits[0], (np.exp(-0.5j * theta), np.exp(0.5j * theta)))
             elif kind in _PHASES:
-                _phase_1q(br, n, gate.qubits[0], _PHASES[kind])
+                _phase_1q(br, gate.qubits[0], _PHASES[kind])
             elif kind == GateKind.X:
-                _controlled_x(br, n, gate.qubits[0])
+                _controlled_x(br, gate.qubits[0])
             elif kind == GateKind.CX:
                 c, t = gate.qubits
-                _controlled_x(br, n, t, (c,))
+                _controlled_x(br, t, (c,))
             elif kind == GateKind.CCX:
                 a, b, t = gate.qubits
-                _controlled_x(br, n, t, (a, b))
+                _controlled_x(br, t, (a, b))
             elif kind == GateKind.CC_X:
                 if br.bits.get(gate.bits[0], 0) == 1:
-                    _controlled_x(br, n, gate.qubits[0])
+                    _controlled_x(br, gate.qubits[0])
             elif kind == GateKind.CC_Z:
                 if br.bits.get(gate.bits[0], 0) == 1:
-                    _phase_1q(br, n, gate.qubits[0], (1, -1))
+                    _phase_1q(br, gate.qubits[0], (1, -1))
             else:
                 raise SimulationError(f"unsupported gate kind {kind.value}")
         return branches
@@ -273,8 +292,9 @@ class _Runner:
         if any(b.fixed.get(w, v) != v for w, v in a.fixed.items()):
             # Disjoint slices: every dot product is exactly 0.
             return bool(np.all(floor <= 0))
-        both = {**a.fixed, **b.fixed}
-        va, vb = _view(a.state, self.n, both), _view(b.state, self.n, both)
+        # Restrict each branch by the other's fixed wires.
+        va = _live(a, {w: v for w, v in b.fixed.items() if w not in a.fixed})
+        vb = _live(b, {w: v for w, v in a.fixed.items() if w not in b.fixed})
         # Reject on the column with the most mass before the full pass.
         j = int(np.argmax(lim))
         if abs(np.sum(np.conj(va[..., j]) * vb[..., j])) < floor[j]:
@@ -303,19 +323,25 @@ class _Runner:
         pa, pb = hit.probability, br.probability
         dead = pa < PRUNE_TOL
         scale = np.sqrt(np.where(dead, 1.0, (pa + pb) / np.maximum(pa, PRUNE_TOL)))
-        a = _live(hit, self.n)
+        a = _live(hit)
         a *= scale
         if np.any(dead):
             # br's columns come in whole: keep the wires both fix alike.
-            hit.fixed = {w: v for w, v in hit.fixed.items() if br.fixed.get(w) == v}
-            _live(hit, self.n)[..., dead] = _view(br.state, self.n, hit.fixed)[..., dead]
+            _unfix(hit, [w for w, v in hit.fixed.items() if br.fixed.get(w) != v])
+            _live(hit)[..., dead] = 0
+            extra = {w: v for w, v in br.fixed.items() if w not in hit.fixed}
+            _live(hit, extra)[..., dead] = br.state[..., dead]
         hit.probability = np.where(dead, pb, pa + pb)
 
 
 def simulate(circuit: Circuit, initial=None) -> list[BranchState]:
     """Run with exhaustive measurement branching; zero-probability branches
-    are pruned. Returns one BranchState per surviving branch."""
-    return _Runner(circuit).run(initial)
+    are pruned. Returns one BranchState per surviving branch, its `state`
+    dense, of shape (2**n, batch)."""
+    branches = _Runner(circuit).run(initial)
+    for br in branches:
+        br.state = _dense(br, circuit.num_qubits)
+    return branches
 
 
 def trim_idle_wires(circuit: Circuit, keep=()) -> tuple[Circuit, dict[int, int]]:
@@ -400,10 +426,7 @@ def equivalence_report(reference: Circuit, candidate: Circuit, *, tol: float = 1
         raise SimulationError("reference circuit must be measurement-free")
 
     cols = spanning_inputs(k)
-    ref_branches = _Runner(reference).evolve(cols.copy())
-    if len(ref_branches) != 1:
-        raise SimulationError("reference circuit must be a single branch")
-    ref_out = ref_branches[0].state
+    ref_out = _dense(_Runner(reference).evolve(cols)[0], k)
 
     # Each column block runs as its own problem. The runner acts on every
     # column separately except in the merge test, which on fewer columns
@@ -439,7 +462,8 @@ def equivalence_report(reference: Circuit, candidate: Circuit, *, tol: float = 1
     return EquivalenceReport(True, worst)
 
 
-# Amplitudes per column block: 8 MiB of complex128 per branch.
+# Amplitudes of the dense register per column block: 8 MiB of complex128,
+# an upper bound on the slice any branch stores.
 _BLOCK_AMPLITUDES = 1 << 19
 
 
@@ -468,7 +492,7 @@ def _check_block(branches: list[BranchState], ref_out: np.ndarray, n: int,
     total_mass = np.zeros(ref_out.shape[1])
     for br in branches:
         # The mass is summed afresh, not taken from the branch's cache.
-        reduced, resid, mass = _extract_columns(br.state, n, c_out)
+        reduced, resid, mass = _extract_columns(_dense(br, n), n, c_out)
         total_mass += mass
         bad = resid > tol * np.maximum(mass, 1.0)
         if np.any(bad):

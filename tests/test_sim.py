@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from dqcc import Circuit, simulate, sim
 from dqcc.gadgets import epr_prepare, expand_remote_cnot, expand_teleport
-from dqcc.sim import (SimulationError, _Runner, _column_blocks, _view, _embed_columns,
-                      _extract_columns, _wire_block, equivalence_report, spanning_inputs,
-                      trim_idle_wires)
+from dqcc.sim import (BranchState, PRUNE_TOL, SimulationError, _Runner, _column_blocks,
+                      _dense, _embed_columns, _extract_columns, _view, _wire_block,
+                      equivalence_report, spanning_inputs, trim_idle_wires)
 
 from conftest import unitary_of
 
@@ -293,10 +293,46 @@ def test_cached_probability_and_slice_after_measurements(merge):
     branches = _Runner(c, merge=merge).run(init)
     assert len(branches) == (1 if merge else 16)
     for br in branches:
+        br.state = _dense(br, 5)  # the runner stores the live slice only
         assert np.allclose(br.probability, np.sum(np.abs(br.state) ** 2, axis=0),
                            rtol=0, atol=1e-12)
         assert off_slice_is_zero(br, 5)
     assert np.allclose(sum(br.probability for br in branches), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("merge", [False, True])
+def test_stored_slice_after_every_gate(merge):
+    c = _gadget_chain()
+    init = _embed_columns(spanning_inputs(2), 5, [0, 1])
+    for i in range(len(c.gates) + 1):
+        prefix = Circuit(5, 4)
+        for g in c.gates[:i]:
+            prefix.append(g)
+        branches = _Runner(prefix, merge=merge).run(init)
+        for br in branches:
+            assert br.state.shape == (2,) * (5 - len(br.fixed)) + (init.shape[1],)
+            mass = np.sum(np.abs(br.state) ** 2, axis=tuple(range(br.state.ndim - 1)))
+            assert np.allclose(br.probability, mass, rtol=0, atol=1e-12)
+            assert off_slice_is_zero(BranchState(_dense(br, 5), fixed=br.fixed), 5)
+        assert np.allclose(sum(br.probability for br in branches), 1.0, atol=1e-12)
+
+
+def test_fold_keeps_the_wires_both_branches_fix_alike():
+    # The representative fixes wires 0 and 2 and stores wire 1; the folded
+    # branch fixes wires 0 and 1 and stores wire 2. Column 1 is dead in the
+    # representative (mass 1e-14), so it takes the folded branch's column
+    # whole, and its stray amplitude on |110> goes.
+    hit = BranchState(np.array([[0.6, 0], [0, 1e-7]], dtype=complex), fixed={0: 1, 2: 0})
+    br = BranchState(np.array([[0.8, 0.6], [0, 0.8j]], dtype=complex), fixed={0: 1, 1: 0})
+    assert hit.probability[1] < PRUNE_TOL
+    _Runner(Circuit(3))._fold(hit, br)
+    assert hit.fixed == {0: 1}
+    assert hit.state.shape == (2, 2, 2)
+    want = np.zeros((8, 2), dtype=complex)
+    want[0b100, 0] = 1.0         # 0.6 scaled by sqrt((0.36 + 0.64) / 0.36)
+    want[0b100, 1], want[0b101, 1] = 0.6, 0.8j
+    assert np.allclose(_dense(hit, 3), want, rtol=0, atol=1e-15)
+    assert np.allclose(hit.probability, [1.0, 1.0], rtol=0, atol=1e-15)
 
 
 def test_merge_of_branches_fixed_apart():
